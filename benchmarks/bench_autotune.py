@@ -34,7 +34,7 @@ import sys
 import time
 
 from repro.autotune import autotune
-from repro.autotune.search import SIM_MAX_ACCESSES, _sim_eval
+from repro.autotune.search import _sim_eval
 from repro.experiments.common import run_sharded
 from repro.suite import get_entry
 
@@ -103,7 +103,7 @@ def measure(kernels, jobs: int | None = None) -> list[dict]:
         # *charged* cost is the serial sum of per-candidate seconds —
         # what a simulation-driven search would actually have to spend.
         calls = [
-            (c.program, LINE, CAPACITY, LINE // 8, SIM_MAX_ACCESSES)
+            (c.program, LINE, CAPACITY, LINE // 8)
             for c in result.ranked
         ]
         sim_rows = run_sharded(_sim_eval, calls, jobs)

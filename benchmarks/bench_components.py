@@ -7,7 +7,7 @@ blocks so regressions in the infrastructure are visible.
 from repro.cache import CACHE2, SetAssocCache
 from repro.dependence import region_dependences
 from repro.exec import Interpreter, simulate
-from repro.exec.codegen import compile_trace
+from repro.exec import compile_block_trace
 from repro.model import CostModel
 from repro.suite import cholesky, matmul, spd_init
 from repro.transforms import compound
@@ -59,16 +59,16 @@ def test_interpreter_matmul16(benchmark):
 
 def test_compiled_trace_matmul32(benchmark):
     prog = matmul(32, "JKI")
-    trace = compile_trace(prog)
+    trace = compile_block_trace(prog)
 
     def run():
         count = 0
 
-        def access(addr, write, sid):
+        def on_block(block):
             nonlocal count
-            count += 1
+            count += len(block)
 
-        trace.run(access)
+        trace.run(on_block)
         return count
 
     count = benchmark(run)

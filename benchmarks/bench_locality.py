@@ -4,13 +4,14 @@ For each gate kernel the analytic predictor
 (:func:`repro.locality.predict_locality`) and the exact trace-driven
 reuse-distance profile are compared on fully-associative LRU hit rates
 at two geometries (fa1 = 64KB/128B lines, fa2 = 8KB/32B lines), and the
-predictor is timed against the per-event trace simulation it replaces.
-Two gates:
+predictor is timed against the exact reuse-distance profile it replaces
+(:func:`repro.cache.reuse.reuse_profile` over the block trace). Two
+gates:
 
 * **accuracy** — |predicted - simulated| warm hit rate within 2
   percentage points on every (kernel, geometry) pair;
-* **speedup** — prediction at least 50x faster than the event-trace
-  simulation on every full-size kernel (it is usually 1000x+).
+* **speedup** — prediction at least 50x faster than the exact profile
+  on every full-size (kernel, geometry) pair.
 
 The measured trajectory is written to ``BENCH_locality.json`` so future
 PRs can track both accuracy and speedup. Runs standalone
@@ -30,12 +31,15 @@ import sys
 import time
 
 from repro.cache.reuse import reuse_profile
-from repro.exec import simulate
 from repro.locality import predict_locality
 from repro.suite import get_entry
 
 ERROR_BOUND_PP = 2.0
 SPEEDUP_TARGET = 50.0
+
+#: What the speedups are measured against; ledger history compares only
+#: runs with the same baseline.
+BASELINE = "reuse_profile"
 
 #: name -> (line bytes, capacity in lines); mirrors table4_analytic.
 FA_CONFIGS = {
@@ -69,18 +73,15 @@ DEFAULT_JSON_PATH = os.environ.get(
 )
 
 
-def measure(kernels, time_event: bool) -> list[dict]:
+def measure(kernels, timed: bool) -> list[dict]:
     """Accuracy (and optionally speedup) rows, one per (kernel, config)."""
     rows = []
     for name, n in kernels:
         program = get_entry(name).program(n)
-        event_s = None
-        if time_event:
-            start = time.perf_counter()
-            simulate(program, engine="event")
-            event_s = time.perf_counter() - start
         for config, (line, lines) in FA_CONFIGS.items():
-            trace = reuse_profile(program, line=line, max_accesses=1 << 25)
+            start = time.perf_counter()
+            trace = reuse_profile(program, line=line)
+            trace_s = time.perf_counter() - start if timed else None
             start = time.perf_counter()
             prediction = predict_locality(program, line=line)
             predict_s = time.perf_counter() - start
@@ -96,8 +97,8 @@ def measure(kernels, time_event: bool) -> list[dict]:
                     "predicted": predicted,
                     "error_pp": abs(predicted - simulated) * 100.0,
                     "predict_s": predict_s,
-                    "event_s": event_s,
-                    "speedup": (event_s / predict_s) if event_s else None,
+                    "trace_s": trace_s,
+                    "speedup": (trace_s / predict_s) if trace_s else None,
                 }
             )
     return rows
@@ -105,11 +106,12 @@ def measure(kernels, time_event: bool) -> list[dict]:
 
 def run(quick: bool = False) -> dict:
     kernels = QUICK_KERNELS if quick else FULL_KERNELS
-    rows = measure(kernels, time_event=not quick)
+    rows = measure(kernels, timed=not quick)
     worst = max(r["error_pp"] for r in rows)
     speedups = [r["speedup"] for r in rows if r["speedup"] is not None]
     return {
         "quick": quick,
+        "baseline": BASELINE,
         "error_bound_pp": ERROR_BOUND_PP,
         "speedup_target": SPEEDUP_TARGET,
         "kernels": rows,
@@ -128,7 +130,7 @@ def write_json(payload: dict, path: str = DEFAULT_JSON_PATH) -> None:
 # pytest entry points (quick-sized so `pytest benchmarks/` stays fast)
 # ----------------------------------------------------------------------
 def test_prediction_within_two_points_quick():
-    rows = measure(QUICK_KERNELS, time_event=False)
+    rows = measure(QUICK_KERNELS, timed=False)
     offenders = [
         (r["kernel"], r["config"], r["error_pp"])
         for r in rows
@@ -160,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     for row in payload["kernels"]:
         speed = (
             f" predict={row['predict_s'] * 1e3:7.2f} ms"
-            f" event={row['event_s']:7.2f} s"
+            f" trace={row['trace_s']:7.2f} s"
             f" speedup={row['speedup']:8.0f}x"
             if row["speedup"] is not None
             else f" predict={row['predict_s'] * 1e3:7.2f} ms"

@@ -78,11 +78,11 @@ def measure() -> dict[str, float]:
             interp.run()
 
     def block_disabled_run() -> None:
-        simulate(block_program, engine="block")
+        simulate(block_program)
 
     def block_enabled_run() -> None:
         with use_obs(Obs()):
-            simulate(block_program, engine="block")
+            simulate(block_program)
 
     # The boundary cost the disabled path pays per run, amplified: the
     # hot loop itself carries zero obs calls, so the only overhead is the

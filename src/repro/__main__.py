@@ -287,7 +287,7 @@ def _locality_main(args: list[str]) -> int:
     if want_compare:
         from repro.cache.reuse import reuse_profile
 
-        trace = reuse_profile(program, line=line, max_accesses=1 << 25)
+        trace = reuse_profile(program, line=line)
     for capacity in capacities:
         predicted = prediction.hit_rate_for_capacity(capacity)
         row = (

@@ -50,10 +50,6 @@ from repro.autotune.space import (
 
 __all__ = ["AutotuneResult", "autotune"]
 
-#: Accesses cap for the simulation rerank (matches the locality bench).
-SIM_MAX_ACCESSES = 1 << 25
-
-
 @dataclass
 class AutotuneResult:
     """Outcome of one autotuning run."""
@@ -124,15 +120,10 @@ def _rank_key(candidate: Candidate) -> tuple:
 
 
 def _sim_eval(
-    program: Program, line: int, capacity: int, cls: int, max_accesses: int
+    program: Program, line: int, capacity: int, cls: int
 ) -> tuple[float, int, float]:
     """Sharded worker: simulated (misses, accesses, seconds) of a program."""
-    oracle = SimulationOracle(
-        model=CostModel(cls=cls),
-        line=line,
-        capacity=capacity,
-        max_accesses=max_accesses,
-    )
+    oracle = SimulationOracle(model=CostModel(cls=cls), line=line, capacity=capacity)
     start = time.perf_counter()
     cost = oracle.cost(program)
     return cost.misses, cost.accesses, time.perf_counter() - start
@@ -289,7 +280,7 @@ def autotune(
                 rows = run_sharded(
                     _sim_eval,
                     [
-                        (c.program, line, capacity, model.cls, SIM_MAX_ACCESSES)
+                        (c.program, line, capacity, model.cls)
                         for c in top
                     ],
                     jobs,

@@ -2,7 +2,7 @@
 
 from repro.exec.interp import AccessEvent, Interpreter, default_init, run_program
 from repro.exec.layout import ArrayLayout, MemoryLayout
-from repro.exec.timing import Machine, PerfResult, resolve_engine, simulate
+from repro.exec.timing import Machine, PerfResult, simulate
 from repro.exec.trace import (
     AccessCounter,
     CacheFeed,
@@ -11,7 +11,6 @@ from repro.exec.trace import (
     record_trace,
     replay,
 )
-from repro.exec.codegen import CompiledTrace, compile_trace
 from repro.exec.blocktrace import (
     AccessBlock,
     BlockTraceError,
@@ -27,12 +26,10 @@ __all__ = [
     "BlockTraceError",
     "CacheFeed",
     "CompiledBlockTrace",
-    "CompiledTrace",
     "StrideHistogram",
     "TraceRecorder",
     "block_events",
     "compile_block_trace",
-    "compile_trace",
     "record_trace",
     "replay",
     "ArrayLayout",
@@ -41,7 +38,6 @@ __all__ = [
     "MemoryLayout",
     "PerfResult",
     "default_init",
-    "resolve_engine",
     "run_program",
     "simulate",
 ]

@@ -1,10 +1,9 @@
-"""Batched trace engine: compile loop nests to NumPy address blocks.
+"""Trace engine: compile loop nests to NumPy address blocks.
 
-The per-event trace compiler (:mod:`repro.exec.codegen`) still pays one
-Python callback per dynamic array access, which dominates trace-driven
-simulation wall-clock. This module compiles the same programs into code
-that walks only the *outer* loops in Python and turns each innermost loop
-into NumPy index arithmetic: every affine access stream becomes
+Cache simulation only needs the *address stream*, not computed values, so
+this module compiles a program into Python code that walks only the
+*outer* loops in Python and turns each innermost loop into NumPy index
+arithmetic: every affine access stream becomes
 
     addresses[slot::M] = const_part + coeff * iota(lb, ub, step)
 
@@ -13,10 +12,11 @@ so a whole innermost-loop execution is emitted as one structured
 callbacks. Blocks are coalesced up to ``block_size`` entries before being
 handed to the consumer, and the event order inside the concatenated stream
 is exactly the interpreter's (reads before the write, left-to-right,
-statements in body order) — tested against the event-by-event oracle.
+statements in body order) — tested against the interpreter, which is the
+oracle for this engine.
 
-Like :mod:`repro.exec.codegen`, subscript bounds are NOT checked here; run
-the validating interpreter first if the program is untrusted.
+Subscript bounds are NOT checked here; run the validating interpreter
+first if the program is untrusted.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from repro.errors import ExecutionError
+from repro.ir.affine import Affine
+from repro.ir.expr import Bin, Call
 from repro.ir.nodes import Assign, Loop, Program
-from repro.exec.codegen import _affine_expr, _static_ops
 from repro.exec.layout import MemoryLayout
 
 __all__ = [
@@ -189,8 +190,7 @@ def compile_block_trace(
 
     Raises:
         BlockTraceError: when an access or bound cannot be reduced to the
-            affine arithmetic the engine generates (same coverage as the
-            per-event trace compiler).
+            affine arithmetic the engine generates.
     """
     from repro.obs import get_obs
 
@@ -255,10 +255,32 @@ def _register_site(sites: list[_Site], slots: list[tuple], layout: MemoryLayout)
     return len(sites) - 1
 
 
-def _address_affine(ref, env: Mapping[str, int], layout: MemoryLayout):
-    """Base + column-major strides folded into one affine form."""
-    from repro.ir.affine import Affine
+def _static_ops(stmt: Assign) -> int:
+    """Arithmetic operations per dynamic instance of the statement."""
 
+    def count(expr) -> int:
+        total = 1 if isinstance(expr, (Bin, Call)) else 0
+        return total + sum(count(c) for c in expr.children())
+
+    return count(stmt.rhs)
+
+
+def _affine_expr(form: Affine, env: Mapping[str, int]) -> str:
+    """Python source for ``form`` with the parameters in ``env`` folded."""
+    form = form.partial_evaluate(env)
+    unknown = [n for n, _ in form.terms if not n.isidentifier()]
+    if unknown:
+        raise ExecutionError(f"cannot compile names {unknown} in {form}")
+    parts = [str(form.const)]
+    for name, coeff in form.terms:
+        if name in env:
+            continue  # already folded by partial_evaluate
+        parts.append(f"{coeff}*{name}" if coeff != 1 else name)
+    return " + ".join(parts)
+
+
+def _address_affine(ref, env: Mapping[str, int], layout: MemoryLayout) -> Affine:
+    """Base + column-major strides folded into one affine form."""
     arr = layout[ref.array]
     addr = Affine.constant(arr.base)
     for sub, stride in zip(ref.subs, arr.strides):

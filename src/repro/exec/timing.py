@@ -1,4 +1,4 @@
-"""Cycle-level performance model over the interpreter's trace.
+"""Cycle-level performance model over the exact address trace.
 
 The paper reports wall-clock seconds on 1990s hardware; we substitute a
 simple timing model over the exact address trace:
@@ -12,7 +12,6 @@ exactly for the configured geometry.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -22,16 +21,7 @@ from repro.ir.nodes import Program
 from repro.exec.interp import Interpreter
 from repro.obs import get_obs
 
-__all__ = ["Machine", "PerfResult", "resolve_engine", "simulate"]
-
-
-def resolve_engine(engine: str | None = None) -> str:
-    """The trace engine to use: explicit arg, else ``REPRO_TRACE_ENGINE``
-    (``block`` | ``event``), else the batched default."""
-    engine = engine or os.environ.get("REPRO_TRACE_ENGINE", "block")
-    if engine not in ("block", "event"):
-        raise ValueError(f"unknown trace engine {engine!r}")
-    return engine
+__all__ = ["Machine", "PerfResult", "simulate"]
 
 
 @dataclass(frozen=True)
@@ -75,17 +65,14 @@ def simulate(
     params: Mapping[str, int] | None = None,
     init=None,
     compiled: bool = True,
-    engine: str | None = None,
 ) -> PerfResult:
     """Run ``program`` against a machine model; returns timing + stats.
 
-    With ``compiled=True`` (default) a trace compiler drives the cache —
-    identical address stream, no value computation. ``engine`` selects the
-    batched NumPy engine (``"block"``, the default) or the per-event one
-    (``"event"``); both produce bit-identical statistics, and the batched
-    path falls back to per-event when a program defeats it. Pass
-    ``compiled=False`` (or an ``init``) to execute real arithmetic via
-    the validating interpreter.
+    The block trace engine (:mod:`repro.exec.blocktrace`) drives the cache:
+    the exact address stream, no value computation. The validating
+    interpreter runs the real arithmetic instead when ``init`` is given,
+    when ``compiled=False`` is passed, or when the block compiler rejects
+    the program. Both produce the same statistics.
     """
     machine = machine or Machine()
     obs = get_obs()
@@ -94,38 +81,25 @@ def simulate(
     with obs.span(
         "exec.simulate", program=program.name, machine=machine.name
     ):
+        trace = None
         if compiled and init is None:
-            engine = resolve_engine(engine)
-            trace = None
-            if engine == "block":
-                from repro.exec.blocktrace import (
-                    BlockTraceError,
-                    compile_block_trace,
-                )
+            from repro.exec.blocktrace import (
+                BlockTraceError,
+                compile_block_trace,
+            )
 
-                try:
-                    trace = compile_block_trace(program, params)
-                except BlockTraceError:
-                    engine = "event"
-                    if obs.enabled:
-                        obs.metrics.counter("trace.block.fallback").inc()
-            if trace is not None:
-                def on_block(block) -> None:
-                    cache.access_block(block.addresses, block.sizes)
+            try:
+                trace = compile_block_trace(program, params)
+            except BlockTraceError:
+                if obs.enabled:
+                    obs.metrics.counter("trace.block.fallback").inc()
+        if trace is not None:
+            def on_block(block) -> None:
+                cache.access_block(block.addresses, block.sizes)
 
-                _, operations = trace.run(on_block)
-            else:
-                from repro.exec.codegen import compile_trace
-
-                event_trace = compile_trace(program, params)
-                elem = 8
-
-                def access(address: int, write: bool, sid: int) -> None:
-                    cache.access(address, elem, write)
-
-                _, operations = event_trace.run(access)
+            _, operations = trace.run(on_block)
             if obs.enabled:
-                obs.metrics.counter(f"trace.engine.{engine}").inc()
+                obs.metrics.counter("trace.engine.block").inc()
         else:
             def on_access(event) -> None:
                 cache.access(event.address, event.size, event.write)

@@ -1,7 +1,7 @@
 """Reusable trace consumers.
 
-The interpreter and the trace compiler both emit per-access events; the
-consumers here turn those streams into the measurements the experiments
+The block trace engine emits :class:`repro.exec.AccessBlock` batches; the
+consumers here turn that stream into the measurements the experiments
 need: cache feeds, counters, stride histograms, and recorded traces that
 can be replayed into several cache configurations without re-executing
 the program.
@@ -29,14 +29,10 @@ __all__ = [
 
 
 class CacheFeed:
-    """Feeds accesses into a cache; usable with both event styles."""
+    """Feeds accesses into a cache, from blocks or interpreter events."""
 
-    def __init__(self, config: CacheConfig, elem_size: int = 8):
+    def __init__(self, config: CacheConfig):
         self.cache = SetAssocCache(config)
-        self.elem_size = elem_size
-
-    def __call__(self, address: int, write: bool, sid: int) -> None:
-        self.cache.access(address, self.elem_size, write)
 
     def on_event(self, event) -> None:
         self.cache.access(event.address, event.size, event.write)
@@ -66,15 +62,8 @@ class AccessCounter:
     writes: int = 0
     per_sid: Counter = field(default_factory=Counter)
 
-    def __call__(self, address: int, write: bool, sid: int) -> None:
-        if write:
-            self.writes += 1
-        else:
-            self.reads += 1
-        self.per_sid[sid] += 1
-
     def on_block(self, block) -> None:
-        """Batched counting; per-sid tallies match the scalar feed."""
+        """Counts one block's reads, writes and per-sid accesses."""
         writes = int(np.count_nonzero(block.writes))
         self.writes += writes
         self.reads += len(block) - writes
@@ -112,14 +101,9 @@ class StrideHistogram:
         self.deltas: Counter = Counter()
         self._last: int | None = None
 
-    def __call__(self, address: int, write: bool, sid: int) -> None:
-        if self._last is not None:
-            self.deltas[address - self._last] += 1
-        self._last = address
-
     def on_block(self, block) -> None:
-        """Batched deltas: the in-block diffs vectorize; only the seam to
-        the previous block is handled scalar."""
+        """Deltas of one block: the in-block diffs vectorize; only the
+        seam to the previous block is handled scalar."""
         addresses = block.addresses
         if addresses.shape[0] == 0:
             return
@@ -161,9 +145,6 @@ class TraceRecorder:
     def __init__(self):
         self.events: list[tuple[int, bool, int]] = []
 
-    def __call__(self, address: int, write: bool, sid: int) -> None:
-        self.events.append((address, write, sid))
-
     def on_block(self, block) -> None:
         self.events.extend(
             zip(
@@ -178,11 +159,11 @@ class TraceRecorder:
 
 
 def record_trace(program: Program, params=None) -> TraceRecorder:
-    """Execute the compiled trace once, recording every access."""
-    from repro.exec.codegen import compile_trace
+    """Run the block trace once, recording every access."""
+    from repro.exec.blocktrace import compile_block_trace
 
     recorder = TraceRecorder()
-    compile_trace(program, params).run(recorder)
+    compile_block_trace(program, params).run(recorder)
     return recorder
 
 

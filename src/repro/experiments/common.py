@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.cache import CACHE1, CACHE2, CacheConfig, SetAssocCache
 from repro.errors import TransformError
-from repro.exec import Interpreter, Machine, PerfResult, resolve_engine, simulate
+from repro.exec import Interpreter, Machine, PerfResult, simulate
 from repro.ir.nodes import Loop, Program
 from repro.ir.visit import enclosing_loops, iter_statements
 from repro.model import CostModel
@@ -76,32 +76,21 @@ def dual_hit_rates(
     config: CacheConfig,
     focus_sids: frozenset[int],
     init=None,
-    engine: str | None = None,
 ) -> tuple[float, float]:
     """(whole-program, focus-statements) hit rates under one cache.
 
     Both rates come from a single execution: the whole-program cache sees
     every access; the focus counters sample the same cache's behaviour on
     accesses issued by the focus statements — the paper's "optimized
-    procedures" columns. ``engine`` selects the batched or per-event
-    trace engine (see :func:`repro.exec.resolve_engine`); the two are
-    bit-identical, and the batched default falls back per program.
+    procedures" columns. Addresses do not depend on values, so the block
+    trace drives the cache regardless of ``init``; the interpreter (with
+    ``init``) runs only when the block compiler rejects the program.
     """
     obs = get_obs()
     cache = SetAssocCache(config)
     focus_total = 0
     focus_hits = 0
     focus_cold = 0
-
-    def access(address: int, write: bool, sid: int) -> None:
-        nonlocal focus_total, focus_hits, focus_cold
-        before_cold = cache.stats.cold_misses
-        hit = cache.access(address, 8, write)
-        if sid in focus_sids:
-            focus_total += 1
-            if hit:
-                focus_hits += 1
-            focus_cold += cache.stats.cold_misses - before_cold
 
     focus_arr = np.fromiter(sorted(focus_sids), dtype=np.int64, count=len(focus_sids))
 
@@ -113,29 +102,33 @@ def dual_hit_rates(
         focus_hits += int(np.count_nonzero(result.hits[mask]))
         focus_cold += int(result.cold[mask].sum())
 
-    # Addresses do not depend on values, so the fast compiled trace
-    # drives the cache regardless of ``init``.
-    from repro.exec.blocktrace import BlockTraceError, compile_block_trace
-    from repro.exec.codegen import compile_trace
+    def on_access(event) -> None:
+        nonlocal focus_total, focus_hits, focus_cold
+        before_cold = cache.stats.cold_misses
+        hit = cache.access(event.address, event.size, event.write)
+        if event.sid in focus_sids:
+            focus_total += 1
+            if hit:
+                focus_hits += 1
+            focus_cold += cache.stats.cold_misses - before_cold
 
-    engine = resolve_engine(engine)
+    from repro.exec.blocktrace import BlockTraceError, compile_block_trace
+
     with obs.span(
         "experiment.hit_rates", program=program.name, cache=config.name
     ):
-        block_trace = None
-        if engine == "block":
-            try:
-                block_trace = compile_block_trace(program)
-            except BlockTraceError:
-                engine = "event"
-                if obs.enabled:
-                    obs.metrics.counter("trace.block.fallback").inc()
+        try:
+            block_trace = compile_block_trace(program)
+        except BlockTraceError:
+            block_trace = None
+            if obs.enabled:
+                obs.metrics.counter("trace.block.fallback").inc()
         if block_trace is not None:
             block_trace.run(on_block)
+            if obs.enabled:
+                obs.metrics.counter("trace.engine.block").inc()
         else:
-            compile_trace(program).run(access)
-        if obs.enabled:
-            obs.metrics.counter(f"trace.engine.{engine}").inc()
+            Interpreter(program, on_access=on_access, init=init).run()
     whole = cache.stats.hit_rate()
     denominator = focus_total - focus_cold
     focus = focus_hits / denominator if denominator > 0 else 1.0

@@ -94,7 +94,7 @@ class TableAutotuneResult:
 def _kernel_row(name: str, n: int, budget: int, beam: int) -> AutotuneRow:
     """One kernel's search + exhaustive sim; module-level so shards pickle."""
     from repro.autotune import autotune
-    from repro.autotune.search import SIM_MAX_ACCESSES, _sim_eval
+    from repro.autotune.search import _sim_eval
 
     program = get_entry(name).program(n)
     result = autotune(
@@ -102,9 +102,7 @@ def _kernel_row(name: str, n: int, budget: int, beam: int) -> AutotuneRow:
     )
     sim_ratios: dict[str, float] = {}
     for candidate in result.ranked:
-        misses, accesses, _ = _sim_eval(
-            candidate.program, LINE, CAPACITY, LINE // 8, SIM_MAX_ACCESSES
-        )
+        misses, accesses, _ = _sim_eval(candidate.program, LINE, CAPACITY, LINE // 8)
         sim_ratios[candidate.text] = misses / accesses if accesses else 0.0
     assert result.best.cost is not None
     assert result.original.cost is not None

@@ -2,9 +2,9 @@
 
 Three layers, cheapest last:
 
-* :mod:`repro.locality.histogram` — trace-driven engines: the exact
-  per-reference analyzer over the event trace and the batched
-  (optionally SHARDS-sampled) variant over the block trace;
+* :mod:`repro.locality.histogram` — the interpreter-fed per-reference
+  oracle for the exact block-fed analyzer in :mod:`repro.cache.reuse`
+  (re-exported here as ``per_ref_profile``);
 * :mod:`repro.locality.analytic` — the trace-free predictor deriving a
   reuse-distance histogram and FA-LRU / set-associative miss ratios
   from affine subscripts, bounds, and layout;
@@ -19,13 +19,8 @@ from repro.locality.analytic import (
     ReuseTerm,
     predict_locality,
 )
-from repro.locality.histogram import (
-    BlockReuseAnalyzer,
-    PerRefReuseAnalyzer,
-    RefProfile,
-    per_ref_profile,
-    sampled_profile,
-)
+from repro.cache.reuse import RefProfile, per_ref_profile
+from repro.locality.histogram import PerRefReuseAnalyzer, oracle_profile
 from repro.locality.polysum import (
     Poly,
     PolySumError,
@@ -34,7 +29,6 @@ from repro.locality.polysum import (
 )
 
 __all__ = [
-    "BlockReuseAnalyzer",
     "LocalityPrediction",
     "PerRefReuseAnalyzer",
     "Poly",
@@ -42,8 +36,8 @@ __all__ = [
     "RefProfile",
     "ReuseTerm",
     "chain_count",
+    "oracle_profile",
     "per_ref_profile",
     "predict_locality",
-    "sampled_profile",
     "weighted_chain_count",
 ]

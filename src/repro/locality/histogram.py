@@ -1,20 +1,14 @@
-"""Trace-driven reuse-distance engines: exact per-reference and sampled.
+"""The interpreter-fed reuse-distance oracle.
 
-Two consumers over the execution trace:
-
-* :class:`PerRefReuseAnalyzer` — exact LRU stack distances (line
-  granularity) attributed to the *reference slot* that issued each
-  access, driven by the per-event trace (:mod:`repro.exec.codegen`).
-  The global histogram equals :class:`repro.cache.reuse
-  .ReuseDistanceAnalyzer`'s; the per-slot split is what the analytic
-  predictor is validated against.
-* :class:`BlockReuseAnalyzer` — a fast aggregate variant for the batched
-  engine (:mod:`repro.exec.blocktrace`): line extraction and
-  adjacent-line collapsing are vectorized, and an optional SHARDS-style
-  spatial sampling filter processes only a hash-selected subset of lines
-  through the order-statistics structure, scaling distances and counts
-  by the inverse rate (bounded-error histogram at a fraction of the
-  cost).
+:class:`PerRefReuseAnalyzer` takes the validating interpreter's
+:class:`repro.exec.AccessEvent`\\ s one at a time — no blocks, no
+collapsing of repeated lines, no vectorized slot attribution — and
+attributes every LRU stack distance (line granularity) to the reference
+slot that issued the access. It is the oracle that the block-fed
+:class:`repro.cache.reuse.ReuseDistanceAnalyzer` is tested against, for
+the global histogram and for every per-slot profile. It shares only the
+LRU stack itself, which the Mattson tests check against the cache
+simulator.
 
 Slot identity follows ``Assign.refs`` (write first, reads after), the
 same convention as :class:`repro.dependence.pairs.RefSite`.
@@ -22,241 +16,62 @@ same convention as :class:`repro.dependence.pairs.RefSite`.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
-from repro.cache.reuse import COLD, ReuseProfile, _Fenwick
+from repro.cache.reuse import (
+    COLD,
+    LRUStack,
+    RefProfile,
+    ReuseProfile,
+    line_shift,
+    ref_profiles,
+    stream_slots,
+)
+from repro.exec.interp import AccessEvent, Interpreter
 from repro.ir.nodes import Program
-from repro.ir.visit import iter_statements
 
 __all__ = [
     "COLD",
-    "BlockReuseAnalyzer",
     "PerRefReuseAnalyzer",
     "RefProfile",
-    "per_ref_profile",
-    "sampled_profile",
+    "oracle_profile",
 ]
 
 
-@dataclass
-class RefProfile:
-    """Reuse-distance histogram of one reference slot."""
-
-    sid: int
-    slot: int
-    array: str
-    histogram: Counter = field(default_factory=Counter)
-    accesses: int = 0
-
-    @property
-    def cold(self) -> int:
-        return self.histogram.get(COLD, 0)
-
-    def hits_for_capacity(self, lines: int) -> int:
-        return sum(
-            count
-            for distance, count in self.histogram.items()
-            if distance != COLD and distance < lines
-        )
-
-
-def _stream_slots(program: Program) -> dict[int, tuple[tuple[int, str], ...]]:
-    """Per sid: (refs-slot, array) of each *emitting* slot in stream order.
-
-    The trace engines emit reads left-to-right, then the write; rank-0
-    scalar references emit nothing. ``refs`` is write-first, so the read
-    at ``reads[i]`` sits at refs slot ``i + 1``.
-    """
-    table: dict[int, tuple[tuple[int, str], ...]] = {}
-    for stmt in iter_statements(program):
-        order: list[tuple[int, str]] = []
-        for i, ref in enumerate(stmt.reads):
-            if ref.rank:
-                order.append((i + 1, ref.array))
-        if stmt.lhs.rank:
-            order.append((0, stmt.lhs.array))
-        table[stmt.sid] = tuple(order)
-    return table
-
-
 class PerRefReuseAnalyzer:
-    """Exact per-reference reuse distances over one event trace."""
+    """Exact per-reference reuse distances over interpreter events."""
 
-    def __init__(self, program: Program, line: int = 128, max_accesses: int = 1 << 22):
-        if line & (line - 1):
-            raise ValueError("line size must be a power of two")
-        self._shift = line.bit_length() - 1
-        self._slots = _stream_slots(program)
-        self._cursor: dict[int, int] = {sid: 0 for sid in self._slots}
-        self.profiles: dict[tuple[int, int], RefProfile] = {}
-        for sid, order in self._slots.items():
-            for slot, array in order:
-                self.profiles[(sid, slot)] = RefProfile(sid, slot, array)
-        self.total = ReuseProfile()
-        self._last_time: dict[int, int] = {}
-        self._clock = 0
-        self._fenwick = _Fenwick(max_accesses)
-
-    def __call__(self, address: int, write: bool = False, sid: int = -1) -> None:
-        order = self._slots[sid]
-        cursor = self._cursor[sid]
-        slot, _ = order[cursor]
-        self._cursor[sid] = (cursor + 1) % len(order)
-        profile = self.profiles[(sid, slot)]
-        profile.accesses += 1
-        self.total.accesses += 1
-
-        line = address >> self._shift
-        time = self._clock
-        self._clock += 1
-        previous = self._last_time.get(line)
-        if previous is None:
-            profile.histogram[COLD] += 1
-            self.total.histogram[COLD] += 1
-        else:
-            distance = self._fenwick.prefix(time - 1) - self._fenwick.prefix(previous)
-            profile.histogram[distance] += 1
-            self.total.histogram[distance] += 1
-            self._fenwick.add(previous, -1)
-        self._fenwick.add(time, 1)
-        self._last_time[line] = time
-
-
-def per_ref_profile(
-    program: Program, line: int = 128, params: Mapping[str, int] | None = None
-) -> PerRefReuseAnalyzer:
-    """Run the event trace through the exact per-reference analyzer."""
-    from repro.exec.codegen import compile_trace
-
-    analyzer = PerRefReuseAnalyzer(program, line=line)
-    compile_trace(program, params).run(analyzer)
-    return analyzer
-
-
-# ----------------------------------------------------------------------
-# Batched / sampled variant
-# ----------------------------------------------------------------------
-
-#: SHARDS hash modulus (power of two so the threshold is a bit mask).
-_SHARDS_MOD = 1 << 24
-
-
-def _mix_lines(lines: np.ndarray) -> np.ndarray:
-    """splitmix64-style avalanche of line ids (vectorized, unsigned)."""
-    z = lines.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-class BlockReuseAnalyzer:
-    """Aggregate reuse-distance histogram over :class:`AccessBlock`\\ s.
-
-    ``sample_rate`` below 1.0 enables SHARDS spatial sampling: only lines
-    whose hash falls under the threshold pass through the exact
-    order-statistics path; measured distances and counts are scaled by
-    ``1/sample_rate``. ``sample_rate=1.0`` reproduces the exact
-    aggregate histogram (adjacent equal lines are collapsed vectorized —
-    a zero-distance reuse needs no tree walk).
-    """
-
-    def __init__(
-        self,
-        line: int = 128,
-        sample_rate: float = 1.0,
-        max_accesses: int = 1 << 22,
-    ):
-        if line & (line - 1):
-            raise ValueError("line size must be a power of two")
-        if not 0.0 < sample_rate <= 1.0:
-            raise ValueError("sample_rate must be in (0, 1]")
-        self._shift = line.bit_length() - 1
-        self._threshold = int(round(sample_rate * _SHARDS_MOD))
-        self._scale = _SHARDS_MOD / self._threshold
-        self.sampled = self._threshold < _SHARDS_MOD
+    def __init__(self, program: Program, line: int = 128):
+        self._shift = line_shift(line)
+        self._slots = stream_slots(program)
+        self._cursor = dict.fromkeys(self._slots, 0)
+        self.profiles = ref_profiles(program)
         self.profile = ReuseProfile()
-        #: Adjacent-repeat count — exact zero-distance hits, never scaled.
-        self._zero_repeats = 0
-        self._last_line: int = -1
-        self._last_time: dict[int, int] = {}
-        self._clock = 0
-        self._fenwick = _Fenwick(max_accesses)
+        self._stack = LRUStack()
 
-    def on_block(self, block) -> None:
-        lines = block.addresses >> self._shift
-        n = lines.shape[0]
-        if n == 0:
-            return
-        self.profile.accesses += n
-        # Collapse runs of equal adjacent lines: every repeat is an exact
-        # zero-distance reuse regardless of sampling.
-        boundary = np.empty(n, dtype=bool)
-        boundary[0] = int(lines[0]) != self._last_line
-        np.not_equal(lines[1:], lines[:-1], out=boundary[1:])
-        starts = lines[boundary]
-        self._zero_repeats += n - int(starts.shape[0])
-        self._last_line = int(lines[-1])
-        if self.sampled:
-            keep = (_mix_lines(starts) & np.uint64(_SHARDS_MOD - 1)) < np.uint64(
-                self._threshold
-            )
-            starts = starts[keep]
-        self._consume(starts.tolist())
-
-    def _consume(self, starts: list[int]) -> None:
-        histogram = self.profile.histogram
-        last_time = self._last_time
-        fenwick = self._fenwick
-        clock = self._clock
-        for line in starts:
-            previous = last_time.get(line)
-            if previous is None:
-                histogram[COLD] += 1
-            else:
-                distance = fenwick.prefix(clock - 1) - fenwick.prefix(previous)
-                histogram[distance] += 1
-                fenwick.add(previous, -1)
-            fenwick.add(clock, 1)
-            last_time[line] = clock
-            clock += 1
-        self._clock = clock
-
-    def scaled_profile(self) -> ReuseProfile:
-        """The histogram with sampling compensation applied.
-
-        Sampled-path distances and counts (including its zero-distance
-        measurements — true small distances whose intervening lines were
-        not sampled) are multiplied by the inverse sampling rate;
-        adjacent-repeat zero-distance hits and total accesses are exact.
-        """
-        out = ReuseProfile(accesses=self.profile.accesses)
-        if self._zero_repeats:
-            out.histogram[0] += self._zero_repeats
-        for distance, count in self.profile.histogram.items():
-            if not self.sampled:
-                out.histogram[distance] += count
-            elif distance == COLD:
-                out.histogram[COLD] += int(round(count * self._scale))
-            else:
-                out.histogram[int(round(distance * self._scale))] += int(
-                    round(count * self._scale)
-                )
-        return out
+    def __call__(self, event: AccessEvent) -> None:
+        order = self._slots[event.sid]
+        cursor = self._cursor[event.sid]
+        self._cursor[event.sid] = (cursor + 1) % len(order)
+        ref = self.profiles[(event.sid, order[cursor][0])]
+        (distance,) = self._stack.distances([event.address >> self._shift])
+        for profile in (ref, self.profile):
+            profile.accesses += 1
+            profile.histogram[distance] += 1
 
 
-def sampled_profile(
+def oracle_profile(
     program: Program,
     line: int = 128,
     params: Mapping[str, int] | None = None,
-    sample_rate: float = 1.0,
-) -> ReuseProfile:
-    """Reuse profile via the batched engine (optionally SHARDS-sampled)."""
-    from repro.exec.blocktrace import compile_block_trace
+    init=None,
+) -> PerRefReuseAnalyzer:
+    """Run the interpreter (with ``init``) through the oracle analyzer.
 
-    analyzer = BlockReuseAnalyzer(line=line, sample_rate=sample_rate)
-    compile_block_trace(program, params).run(analyzer)
-    return analyzer.scaled_profile()
+    Addresses do not depend on values, so non-finite values are allowed.
+    """
+    analyzer = PerRefReuseAnalyzer(program, line=line)
+    Interpreter(
+        program, params, on_access=analyzer, init=init, check_values=False
+    ).run()
+    return analyzer

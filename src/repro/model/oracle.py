@@ -148,20 +148,17 @@ class SimulationOracle:
     model: CostModel = field(default_factory=CostModel)
     line: int = 128
     capacity: int = 512
-    max_accesses: int = 1 << 25
 
     name = "simulation"
 
     def profile(self, program: Program) -> "ReuseProfile":
-        key = (canonical_key(program), self.line, self.max_accesses)
+        key = (canonical_key(program), self.line)
         hit = _PROFILE_CACHE.get(key)
         if hit is not None:
             return hit
         from repro.cache.reuse import reuse_profile
 
-        profile = reuse_profile(
-            program, line=self.line, max_accesses=self.max_accesses
-        )
+        profile = reuse_profile(program, line=self.line)
         _PROFILE_CACHE.put(key, profile)
         return profile
 

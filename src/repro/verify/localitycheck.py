@@ -6,9 +6,9 @@ nest, the trace-derived reuse-distance histogram is compared against
 :func:`repro.locality.analytic.predict_locality` at element granularity
 (``line=8``):
 
-* the three engines (event-trace per-reference, batched block-trace,
-  and the cache layer's reference analyzer) must agree bit-for-bit on
-  the aggregate histogram;
+* the block-fed analyzer must agree bit-for-bit with the
+  interpreter-fed oracle, on the aggregate histogram and on every
+  per-``(sid, slot)`` histogram;
 * predicted access counts must equal traced counts, and the predicted
   histogram's mass must equal the access count (both hold by
   construction — a violation is a bug, not model error);
@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache.reuse import reuse_profile
+from repro.cache.reuse import per_ref_profile
 from repro.ir.nodes import Program
 from repro.locality.analytic import predict_locality
-from repro.locality.histogram import per_ref_profile, sampled_profile
+from repro.locality.histogram import oracle_profile
 
 __all__ = ["LocalityMismatch", "check_locality", "MODEL_RATE_BOUND"]
 
@@ -67,26 +67,24 @@ def check_locality(
     program: Program, line: int = ORACLE_LINE
 ) -> LocalityMismatch | None:
     """Run the full locality oracle on one program; None when clean."""
-    trace = reuse_profile(program, line=line)
+    block = per_ref_profile(program, line=line)
+    trace = block.profile
 
-    # Engine agreement: per-reference and batched engines must reproduce
-    # the reference histogram exactly (sampling off).
-    per_ref = per_ref_profile(program, line=line)
-    if per_ref.total.histogram != trace.histogram:
-        return LocalityMismatch(
-            "engines",
-            "-",
-            "per-reference engine diverges: "
-            + _first_histogram_diff(per_ref.total.histogram, trace.histogram),
-        )
-    block = sampled_profile(program, line=line, sample_rate=1.0)
-    if block.histogram != trace.histogram:
-        return LocalityMismatch(
-            "engines",
-            "-",
-            "block engine diverges: "
-            + _first_histogram_diff(block.histogram, trace.histogram),
-        )
+    # Engine agreement: the block analyzer must reproduce the interpreter
+    # oracle exactly, globally and slot by slot.
+    oracle = oracle_profile(program, line=line)
+    pairs = [("aggregate", oracle.profile, trace)] + [
+        (f"sid {sid} slot {slot}", ref, block.profiles[sid, slot])
+        for (sid, slot), ref in oracle.profiles.items()
+    ]
+    for where, want, got in pairs:
+        if got.histogram != want.histogram:
+            return LocalityMismatch(
+                "engines",
+                "-",
+                f"block engine diverges from the oracle ({where}): "
+                + _first_histogram_diff(got.histogram, want.histogram),
+            )
 
     prediction = predict_locality(program, line=line)
     path = "exact" if prediction.exact else "model"

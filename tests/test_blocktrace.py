@@ -2,29 +2,32 @@
 
 The batched engine exists purely for speed; every test here pins the
 invariant that makes it safe to use by default — bit-identical behaviour
-with the event-by-event reference path at every layer (raw cache state,
-hierarchy cascades, trace streams, experiment hit rates, and the sharded
-experiment runner).
+with the reference paths (scalar cache probes and the validating
+interpreter) at every layer: raw cache state, hierarchy cascades, trace
+streams, experiment hit rates, and the sharded experiment runner.
 """
 
+from pathlib import Path
+
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import CACHE2, CacheConfig, Hierarchy, SetAssocCache
 from repro.exec import (
+    Interpreter,
     block_events,
     compile_block_trace,
-    resolve_engine,
     run_program,
     simulate,
 )
-from repro.exec.blocktrace import AccessBlock
+from repro.exec import blocktrace
+from repro.exec.blocktrace import AccessBlock, BlockTraceError
 from repro.experiments import table3_perf, table4_hitrates
 from repro.experiments.common import changed_sids, dual_hit_rates, resolve_jobs
 from repro.frontend import parse_program
 from repro.model import CostModel
-from repro.suite import suite_entries
+from repro.suite import get_set, suite_entries
+from repro.suite.registry import DEFAULT_INSTANCES
 from repro.transforms import compound
 
 
@@ -145,9 +148,16 @@ class TestBlockTraceStream:
             assert block_events(program) == recorded, entry.name
 
     def test_every_suite_kernel_compiles_batched(self):
-        # The default engine must never silently fall back on the suite.
-        for entry in suite_entries():
-            compile_block_trace(entry.program(8))
+        # simulate() must never fall back to the interpreter on the
+        # registry (every instance) or on the example programs.
+        for entry in get_set("all").entries():
+            for instance in DEFAULT_INSTANCES:
+                compile_block_trace(entry.program(instance=instance))
+        examples = Path(__file__).resolve().parents[1] / "examples"
+        sources = sorted(examples.glob("*.f"))
+        assert sources
+        for path in sources:
+            compile_block_trace(parse_program(path.read_text()))
 
     def test_block_coalescing_respects_block_size(self):
         program = parse_program(
@@ -169,45 +179,67 @@ class TestBlockTraceStream:
         assert all(len(b) >= 256 for b in blocks[:-1])
 
     def test_counters_match_event_engine(self):
-        from repro.exec.codegen import compile_trace
-
-        for entry in list(suite_entries())[:5]:
+        # Statement instances and operations equal the interpreter's.
+        for entry in suite_entries():
             program = entry.program(8)
-            count_b, ops_b = compile_block_trace(program).run(lambda b: None)
-            count_e, ops_e = compile_trace(program).run(lambda a, w, s: None)
-            assert (count_b, ops_b) == (count_e, ops_e), entry.name
+            count, ops = compile_block_trace(program).run(lambda b: None)
+            interp = Interpreter(program, init=entry.init)
+            interp.run()
+            assert (count, ops) == (
+                interp.statements_executed,
+                interp.operations_executed,
+            ), entry.name
 
 
 # ----------------------------------------------------------------------
-# Engine selection and end-to-end equality
+# Block trace vs interpreter, end to end
 # ----------------------------------------------------------------------
+def reject_block_trace(*args, **kwargs):
+    raise BlockTraceError("rejected for the test")
+
+
 class TestEngineSelection:
-    def test_resolve_engine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_ENGINE", raising=False)
-        assert resolve_engine() == "block"
-        assert resolve_engine("event") == "event"
-        monkeypatch.setenv("REPRO_TRACE_ENGINE", "event")
-        assert resolve_engine() == "event"
-        with pytest.raises(ValueError):
-            resolve_engine("turbo")
-
     def test_simulate_engines_identical(self):
         for entry in list(suite_entries())[:6]:
             program = entry.program(12)
-            a = simulate(program, engine="block")
-            b = simulate(program, engine="event")
+            a = simulate(program)
+            b = simulate(program, init=entry.init, compiled=False)
             assert stats_tuple(a.cache) == stats_tuple(b.cache), entry.name
             assert (a.cycles, a.operations) == (b.cycles, b.operations)
 
-    def test_dual_hit_rates_engines_identical(self):
+    def test_simulate_falls_back_to_interpreter(self, monkeypatch):
+        from repro.obs import Obs, use_obs
+
+        program = suite_entries()[0].program(12)
+        expected = simulate(program)
+        monkeypatch.setattr(blocktrace, "compile_block_trace", reject_block_trace)
+        with use_obs(Obs()) as obs:
+            fallback = simulate(program)
+            counters = obs.metrics.snapshot()["counters"]
+        assert counters.get("trace.block.fallback") == 1
+        assert "trace.engine.block" not in counters
+        assert stats_tuple(fallback.cache) == stats_tuple(expected.cache)
+        assert fallback.cycles == expected.cycles
+
+    def test_dual_hit_rates_engines_identical(self, monkeypatch):
+        cases = []
         for entry in list(suite_entries())[:4]:
             program = entry.program(12)
             final = compound(program, CostModel(cls=4)).program
             focus = changed_sids(program, final)
             for version in (program, final):
-                assert dual_hit_rates(
-                    version, CACHE2, focus, engine="block"
-                ) == dual_hit_rates(version, CACHE2, focus, engine="event")
+                cases.append((entry, version, focus))
+        block = [
+            dual_hit_rates(version, CACHE2, focus, init=entry.init)
+            for entry, version, focus in cases
+        ]
+        # A rejected program takes the interpreter path.
+        monkeypatch.setattr(blocktrace, "compile_block_trace", reject_block_trace)
+        interpreted = [
+            dual_hit_rates(version, CACHE2, focus, init=entry.init)
+            for entry, version, focus in cases
+        ]
+        assert block == interpreted
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""The compiled trace must match the interpreter's address stream exactly."""
+"""The generated trace code must match the interpreter's address stream.
+
+:func:`repro.exec.compile_block_trace` generates Python source for each
+program; the interpreter is its oracle.
+"""
 
 import pytest
 
-from repro.exec import Interpreter, simulate
-from repro.exec.codegen import compile_trace
+from repro.exec import AccessCounter, Interpreter, block_events, simulate
+from repro.exec.blocktrace import compile_block_trace
 from repro.suite import cholesky, matmul, spd_init, suite_entries
 from repro.cache import CACHE2
 from repro.exec.timing import Machine
@@ -13,16 +17,9 @@ def interpreter_trace(prog, init=None):
     events = []
     Interpreter(
         prog,
-        on_access=lambda e: events.append((e.address, e.write, e.sid)),
+        on_access=lambda e: events.append((e.address, e.size, e.write, e.sid)),
         init=init,
     ).run()
-    return events
-
-
-def compiled_trace_events(prog):
-    events = []
-    trace = compile_trace(prog)
-    trace.run(lambda addr, write, sid: events.append((addr, write, sid)))
     return events
 
 
@@ -33,18 +30,18 @@ class TestTraceEquivalence:
     @pytest.mark.parametrize("entry", ENTRIES, ids=[e.name for e in ENTRIES])
     def test_identical_streams(self, entry):
         prog = entry.program(6)
-        assert compiled_trace_events(prog) == interpreter_trace(prog, entry.init)
+        assert block_events(prog) == interpreter_trace(prog, entry.init)
 
     def test_matmul_trace_length(self):
-        prog = matmul(4, "IJK")
-        events = compiled_trace_events(prog)
-        assert len(events) == 4 ** 3 * 4  # 3 reads + 1 write per instance
+        counter = AccessCounter()
+        compile_block_trace(matmul(4, "IJK")).run(counter)
+        assert counter.total == 4 ** 3 * 4  # 3 reads + 1 write per instance
 
     def test_operation_counts_match_interpreter(self):
         prog = cholesky(6, "KIJ")
         interp = Interpreter(prog, init=spd_init)
         interp.run()
-        count, ops = compile_trace(prog).run(lambda a, w, s: None)
+        count, ops = compile_block_trace(prog).run(lambda block: None)
         assert count == interp.statements_executed
         assert ops == interp.operations_executed
 
@@ -57,6 +54,6 @@ class TestTraceEquivalence:
         assert fast.cache.hit_rate() == slow.cache.hit_rate()
 
     def test_source_is_readable(self):
-        trace = compile_trace(matmul(4, "JKI"))
+        trace = compile_block_trace(matmul(4, "JKI"))
         assert "for J in range(1, (4) + 1, 1):" in trace.source
-        assert "access(" in trace.source
+        assert "__vec(" in trace.source

@@ -6,8 +6,7 @@ import pytest
 from repro.cache import CacheConfig, DEFAULT_TLB, Hierarchy, tlb_config
 from repro.cache.hierarchy import TLB_LEVEL_NAME, TLBConfig
 from repro.errors import TransformError
-from repro.exec import run_program
-from repro.exec.codegen import compile_trace
+from repro.exec import AccessCounter, compile_block_trace, run_program
 from repro.frontend import parse_program
 from repro.ir import iter_statements
 from repro.transforms import unroll_and_jam, unroll_and_jam_program
@@ -188,9 +187,9 @@ class TestUnrollAndJam:
         assert replaced.replaced >= 4  # B(K,J)..B(K,J+3) all invariant
 
         def count(program):
-            n = [0]
-            compile_trace(program).run(lambda a, w, s: n.__setitem__(0, n[0] + 1))
-            return n[0]
+            counter = AccessCounter()
+            compile_block_trace(program).run(counter)
+            return counter.total
 
         before = count(prog)
         after = count(replaced.program)

@@ -1,10 +1,12 @@
 """Tests for trace consumers and reuse-distance analysis."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import CACHE2, CacheConfig, SetAssocCache
 from repro.cache.reuse import COLD, ReuseDistanceAnalyzer, reuse_profile
+from repro.exec import AccessBlock, compile_block_trace
 from repro.exec.trace import (
     AccessCounter,
     CacheFeed,
@@ -15,12 +17,26 @@ from repro.exec.trace import (
 from repro.suite import matmul
 
 
+def feed(consumer, addresses, chunk: int = 7):
+    """Stream byte addresses to a block consumer in ``chunk``-sized blocks,
+    so runs straddle block seams."""
+    for start in range(0, len(addresses), chunk):
+        part = np.array(addresses[start : start + chunk], dtype=np.int64)
+        n = part.shape[0]
+        consumer.on_block(
+            AccessBlock(
+                part,
+                np.full(n, 8, dtype=np.int64),
+                np.zeros(n, dtype=bool),
+                np.zeros(n, dtype=np.int64),
+            )
+        )
+
+
 class TestConsumers:
     def test_access_counter(self):
         counter = AccessCounter()
-        trace = record_trace(matmul(4, "IJK"))
-        for event in trace.events:
-            counter(*event)
+        compile_block_trace(matmul(4, "IJK")).run(counter)
         assert counter.total == 4 ** 3 * 4
         assert counter.writes == 4 ** 3
         assert counter.reads == 4 ** 3 * 3
@@ -29,25 +45,21 @@ class TestConsumers:
         program = matmul(8, "JKI")
         trace = record_trace(program)
         replayed = replay(trace, CACHE2)
-        feed = CacheFeed(CACHE2)
-        for event in trace.events:
-            feed(*event)
-        assert replayed.hits == feed.stats.hits
-        assert replayed.misses == feed.stats.misses
+        direct = CacheFeed(CACHE2)
+        compile_block_trace(program).run(direct)
+        assert replayed.hits == direct.stats.hits
+        assert replayed.misses == direct.stats.misses
 
     def test_stride_histogram_distinguishes_orders(self):
         good = StrideHistogram()
-        for event in record_trace(matmul(8, "JKI")).events:
-            good(*event)
+        compile_block_trace(matmul(8, "JKI")).run(good)
         bad = StrideHistogram()
-        for event in record_trace(matmul(8, "IKJ")).events:
-            bad(*event)
+        compile_block_trace(matmul(8, "IKJ")).run(bad)
         assert good.unit_fraction() > bad.unit_fraction()
 
     def test_stride_top(self):
         h = StrideHistogram()
-        for addr in (0, 8, 16, 24, 1024):
-            h(addr, False, 0)
+        feed(h, [0, 8, 16, 24, 1024], chunk=2)
         assert h.top(1)[0] == (8, 3)
 
 
@@ -55,22 +67,19 @@ class TestReuseDistance:
     def test_simple_sequence(self):
         analyzer = ReuseDistanceAnalyzer(line=8)
         # lines: A B A -> A cold, B cold, A reuse distance 1 (only B between)
-        for addr in (0, 8, 0):
-            analyzer(addr)
+        feed(analyzer, [0, 8, 0])
         hist = analyzer.profile.histogram
         assert hist[COLD] == 2
         assert hist[1] == 1
 
     def test_immediate_reuse_distance_zero(self):
         analyzer = ReuseDistanceAnalyzer(line=8)
-        analyzer(0)
-        analyzer(0)
+        feed(analyzer, [0, 0], chunk=1)
         assert analyzer.profile.histogram[0] == 1
 
     def test_line_granularity(self):
         analyzer = ReuseDistanceAnalyzer(line=16)
-        analyzer(0)
-        analyzer(8)  # same 16-byte line: distance 0
+        feed(analyzer, [0, 8])  # same 16-byte line: distance 0
         assert analyzer.profile.histogram[0] == 1
 
     def test_hits_for_capacity_monotone(self):
@@ -86,8 +95,7 @@ class TestReuseDistance:
 
     def test_percentile(self):
         analyzer = ReuseDistanceAnalyzer(line=8)
-        for addr in (0, 8, 0, 8, 0, 8):
-            analyzer(addr)
+        feed(analyzer, [0, 8, 0, 8, 0, 8])
         # All warm reuses have distance 1.
         assert analyzer.profile.percentile(0.9) == 1
 
@@ -103,9 +111,9 @@ class TestReuseDistance:
         cache = SetAssocCache(
             CacheConfig("fa", size=16 * capacity, assoc=capacity, line=16)
         )
-        for line in lines:
-            address = line * 16
-            analyzer(address)
+        addresses = [line * 16 for line in lines]
+        feed(analyzer, addresses)
+        for address in addresses:
             cache.access(address)
         assert cache.stats.hits == analyzer.profile.hits_for_capacity(capacity)
 

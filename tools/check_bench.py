@@ -12,21 +12,24 @@ Reads the benchmark artifacts written by ``benchmarks/bench_trace_engine.py``,
 plus (when present) the run ledger (``.repro/ledger.jsonl``) and applies
 the gates:
 
-* **coverage** — the batched engine must compile every suite kernel
-  (``coverage_failures`` empty);
+* **coverage** — the block trace engine must compile every ``all``
+  entry at every instance and every ``examples/*.f`` program
+  (``coverage_failures`` empty), so ``simulate`` never falls back to
+  the interpreter;
 * **accuracy** — analytic-locality ``worst_error_pp`` within its bound
   (accuracy is deterministic, so this holds in smoke mode too);
 * **search quality** — autotune regret within its bound on every kernel
   and the chosen config never worse than the compound algorithm
   (both deterministic, so they hold in smoke mode too);
 * **speedup floors** (skipped with ``--smoke``: wall-clock gates are
-  meaningless on noisy or quick-mode artifacts) — per-kernel batched
-  speedup at least ``speedup_target * (1 - tolerance)``, at least
-  ``min_fast_kernels`` kernels over target, and locality ``min_speedup``
-  at least its target;
-* **history** (when the ledger holds a previous non-quick bench record)
-  — per-kernel speedup must not drop more than ``tolerance`` below the
-  previous ledgered run.
+  meaningless on noisy or quick-mode artifacts) — per-kernel speedup of
+  the block engine over the interpreter at least
+  ``speedup_target * (1 - tolerance)``, at least ``min_fast_kernels``
+  kernels over target, and the locality predictor's ``min_speedup`` over
+  the exact ``reuse_profile`` at least its target;
+* **history** (when the ledger holds a previous non-quick bench record
+  with the same ``baseline``) — per-kernel speedup must not drop more
+  than ``tolerance`` below the previous ledgered run.
 
 Exit status: 0 all gates pass, 1 regression, 2 usage/missing artifact.
 """
@@ -63,7 +66,7 @@ def check_trace(payload: dict, smoke: bool, tolerance: float) -> list[str]:
     failures = []
     if payload.get("coverage_failures"):
         for line in payload["coverage_failures"]:
-            failures.append(f"trace coverage: batched engine cannot compile {line}")
+            failures.append(f"trace coverage: block engine cannot compile {line}")
     if smoke or payload.get("quick"):
         return failures
     target = float(payload.get("speedup_target", 0.0))
@@ -146,13 +149,16 @@ def check_autotune(payload: dict, smoke: bool, tolerance: float) -> list[str]:
     return failures
 
 
-def previous_bench(records: list[dict], kind: str) -> dict | None:
-    """Latest non-quick ledgered bench payload of the given kind."""
+def previous_bench(
+    records: list[dict], kind: str, baseline: str | None = None
+) -> dict | None:
+    """Latest non-quick ledgered bench payload of the given kind whose
+    speedups were measured against the same baseline."""
     for record in reversed(records):
         if record.get("kind") != kind:
             continue
         bench = record.get("bench") or {}
-        if bench.get("quick"):
+        if bench.get("quick") or bench.get("baseline") != baseline:
             continue
         return bench
     return None
@@ -162,7 +168,7 @@ def check_history(
     payload: dict, records: list[dict], kind: str, tolerance: float
 ) -> list[str]:
     """Per-kernel comparison against the previous ledgered run."""
-    previous = previous_bench(records, kind)
+    previous = previous_bench(records, kind, payload.get("baseline"))
     if previous is None:
         return []
     failures = []
