@@ -22,126 +22,74 @@ with ``python -m repro report``.
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 import time
 
+from repro import cli
 from repro.experiments import EXPERIMENTS, run_all
-from repro.obs import LedgerError, Obs, use_obs, write_chrome_trace, write_jsonl
 
 
+def _experiment(name: str) -> str:
+    if name not in EXPERIMENTS:
+        raise argparse.ArgumentTypeError(
+            f"unknown experiment {name!r} (available: {', '.join(EXPERIMENTS)})"
+        )
+    return name
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # The module docstring, printed by -h, describes every option.
+    parser = cli.parser("python -m repro.experiments", __doc__)
+    parser.add_argument("names", nargs="*", type=_experiment, metavar="NAME")
+    parser.add_argument("--full", action="store_true")
+    parser.add_argument("--save", metavar="DIR")
+    parser.add_argument("--trace", metavar="FILE")
+    parser.add_argument("--chrome-trace", metavar="FILE")
+    parser.add_argument("--profile", action="store_true")
+    parser.add_argument("--jobs", type=cli.positive_int, metavar="N")
+    parser.add_argument("--no-ledger", action="store_true")
+    return parser
+
+
+@cli.command
 def main(argv: list[str]) -> int:
-    args = list(argv)
-
-    def flag(name: str) -> bool:
-        if name in args:
-            args.remove(name)
-            return True
-        return False
-
-    full = flag("--full")
-    want_profile = flag("--profile")
-    no_ledger = flag("--no-ledger")
-
-    def path_option(name: str) -> str | None:
-        if name not in args:
-            return None
-        index = args.index(name)
-        args.pop(index)
-        if index >= len(args):
-            print(f"missing value for {name}", file=sys.stderr)
-            raise SystemExit(2)
-        return args.pop(index)
-
-    save_dir = path_option("--save")
-    if save_dir:
-        os.makedirs(save_dir, exist_ok=True)
-    trace_path = path_option("--trace")
-    chrome_path = path_option("--chrome-trace")
-    jobs = path_option("--jobs")
-    if jobs is not None:
-        try:
-            int(jobs)
-        except ValueError:
-            print(f"--jobs needs an integer, got {jobs!r}", file=sys.stderr)
-            raise SystemExit(2)
-        os.environ["REPRO_JOBS"] = jobs
-    names = [a for a in args if not a.startswith("-")]
+    args = build_parser().parse_intermixed_args(argv)
+    if args.save:
+        os.makedirs(args.save, exist_ok=True)
+    if args.jobs is not None:
+        os.environ["REPRO_JOBS"] = str(args.jobs)
 
     def deliver(name: str, text: str) -> None:
         print(text)
         print()
-        if save_dir:
-            with open(os.path.join(save_dir, f"{name}.txt"), "w") as handle:
-                handle.write(text + "\n")
+        if args.save:
+            cli.write_file(os.path.join(args.save, f"{name}.txt"), text + "\n")
 
-    # One context for every observability sink (see docs/observability.md).
-    want_obs = bool(trace_path or chrome_path or want_profile or not no_ledger)
-    obs = Obs(profile=want_profile) if want_obs else None
-    tracing_memory = False
-    if want_profile:
-        import tracemalloc
-
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            tracing_memory = True
     ran: list[str] = []
-    if names:
-        unknown = [n for n in names if n not in EXPERIMENTS]
-        if unknown:
-            print(f"unknown experiments: {unknown}")
-            print(f"available: {', '.join(EXPERIMENTS)}")
-            return 2
-        with use_obs(obs) as active:
-            for name in names:
+    with cli.observed(args, always=not args.no_ledger) as obs:
+        if args.names:
+            for name in args.names:
                 module = EXPERIMENTS[name]
                 start = time.time()
-                with active.span(f"experiment.{name}"):
+                with obs.span(f"experiment.{name}"):
                     deliver(name, module.render(module.run()))
                 ran.append(name)
                 print(f"[{name}: {time.time() - start:.1f}s]\n")
-    else:
-        with use_obs(obs):
-            for name, text in run_all(quick=not full).items():
+        else:
+            for name, text in run_all(quick=not args.full).items():
                 deliver(name, text)
                 ran.append(name)
-    if want_profile and obs is not None:
-        from repro.obs import render_profile
-
-        if tracing_memory:
-            import tracemalloc
-
-            tracemalloc.stop()
-        print("\n--- phase profile ---", file=sys.stderr)
-        print(render_profile(obs.tracer.spans, obs.metrics, title=""),
-              file=sys.stderr)
-    if obs is not None and trace_path:
-        records = write_jsonl(obs, trace_path)
-        print(f"wrote {records} trace records to {trace_path}", file=sys.stderr)
-    if obs is not None and chrome_path:
-        events = write_chrome_trace(obs, chrome_path)
-        print(
-            f"wrote {events} trace events to {chrome_path} "
-            f"(load at https://ui.perfetto.dev)",
-            file=sys.stderr,
-        )
-    if not no_ledger and obs is not None:
-        from repro.obs import ledger
-
-        try:
-            ledger.append_record(
-                ledger.make_record(
-                    "experiments",
-                    list(argv),
-                    config={"experiments": ran, "full": full,
-                            "jobs": os.environ.get("REPRO_JOBS", "1")},
-                    phases=ledger.phases_from_obs(obs),
-                    metrics=ledger.counters_from_obs(obs),
-                )
-            )
-        except LedgerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    cli.print_observations(obs, args)
+    cli.append_ledger(
+        args,
+        "experiments",
+        argv,
+        obs=obs,
+        config={"experiments": ran, "full": args.full,
+                "jobs": os.environ.get("REPRO_JOBS", "1")},
+    )
     return 0
 
 

@@ -120,6 +120,33 @@ def _type_name(expected: type) -> str:
     )
 
 
+def _check_values(params: dict) -> None:
+    """Value rules the type table cannot express; each violation is a 400
+    here instead of a worker failure (or a nonsense row) later."""
+    line = params["line"]  # every endpoint has one
+    if line & (line - 1):
+        raise ProtocolError(
+            400, "bad-field", f"field 'line' must be a power of two, got {line}"
+        )
+    for capacity in params.get("capacities") or ():
+        if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity <= 0:
+            raise ProtocolError(
+                400, "bad-field", "field 'capacities' must list positive integers"
+            )
+    checks = params.get("checks")
+    if checks:
+        if not all(isinstance(check, str) for check in checks):
+            raise ProtocolError(
+                400, "bad-field", "field 'checks' must list check ids or names"
+            )
+        from repro.lint.registry import checks_for
+
+        try:
+            checks_for(tuple(checks))
+        except ValueError as exc:
+            raise ProtocolError(400, "bad-field", f"field 'checks': {exc}")
+
+
 def parse_request(endpoint: str, body: bytes, debug_faults: bool) -> CompileRequest:
     """Validate and canonicalize one compile request.
 
@@ -160,11 +187,9 @@ def parse_request(endpoint: str, body: bytes, debug_faults: bool) -> CompileRequ
         if value is None:
             params[name] = None
             continue
-        if expected is int and isinstance(value, bool):
-            raise ProtocolError(
-                400, "bad-field", f"field {name!r} must be {_type_name(expected)}"
-            )
-        if not isinstance(value, expected):
+        if not isinstance(value, expected) or (
+            expected is int and isinstance(value, bool)
+        ):
             raise ProtocolError(
                 400, "bad-field", f"field {name!r} must be {_type_name(expected)}"
             )
@@ -173,6 +198,7 @@ def parse_request(endpoint: str, body: bytes, debug_faults: bool) -> CompileRequ
                 400, "bad-field", f"field {name!r} must be positive"
             )
         params[name] = value
+    _check_values(params)
 
     fault = payload.get("fault") or ""
     if fault and not isinstance(fault, str):

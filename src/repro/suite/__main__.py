@@ -34,39 +34,30 @@ errors.
 
 from __future__ import annotations
 
+import argparse
 import sys
 
+from repro import cli
 from repro.ir.visit import iter_loops
 from repro.model import CostModel
-from repro.obs import LedgerError, Obs, use_obs
+from repro.obs import Obs, use_obs
 from repro.stats.report import render_table
 from repro.suite.registry import SETS, suite_entries
 from repro.transforms import compound
 
 
-def _flag(args: list[str], name: str) -> bool:
-    if name in args:
-        args.remove(name)
-        return True
-    return False
+# Both parsers print the module docstring for -h; it describes every option.
+def _list_parser() -> argparse.ArgumentParser:
+    parser = cli.parser("python -m repro.suite", __doc__)
+    parser.add_argument("categories", nargs="*", metavar="CATEGORY")
+    parser.add_argument("--sets", action="store_true")
+    parser.add_argument("--time", action="store_true")
+    parser.add_argument("--no-ledger", action="store_true")
+    return parser
 
 
-def _option(args: list[str], name: str, default: str) -> str:
-    if name in args:
-        index = args.index(name)
-        args.pop(index)
-        if index >= len(args):
-            print(f"missing value for {name}", file=sys.stderr)
-            raise SystemExit(2)
-        return args.pop(index)
-    return default
-
-
-def _list_main(args: list[str]) -> int:
-    want_time = _flag(args, "--time")
-    no_ledger = _flag(args, "--no-ledger")
-    want_sets = _flag(args, "--sets")
-    if want_sets:
+def _list(args) -> int:
+    if args.sets:
         rows = [
             {
                 "Set": s.name,
@@ -77,7 +68,7 @@ def _list_main(args: list[str]) -> int:
         ]
         print(render_table(rows, title=f"Suite sets ({len(rows)})"))
         return 0
-    categories = tuple(args) or None
+    categories = tuple(args.categories) or None
 
     rows = []
     timings: dict[str, dict[str, float]] = {}
@@ -93,7 +84,7 @@ def _list_main(args: list[str]) -> int:
             "Nests": nests,
             "Statements": len(program.statements),
         }
-        if want_time:
+        if args.time:
             obs = Obs()
             with use_obs(obs):
                 with obs.span("suite.compound", program=entry.name):
@@ -108,71 +99,49 @@ def _list_main(args: list[str]) -> int:
             }
         rows.append(row)
     print(render_table(rows, title=f"Suite registry ({len(rows)} programs)"))
-    if want_time and not no_ledger:
-        from repro.obs import ledger
-
-        try:
-            ledger.append_record(
-                ledger.make_record(
-                    "suite",
-                    list(args) + (["--time"] if want_time else []),
-                    config={"categories": list(categories or ()),
-                            "programs": len(rows)},
-                    phases=timings,
-                )
-            )
-        except LedgerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    if args.time:
+        cli.append_ledger(
+            args,
+            "suite",
+            args.categories + ["--time"],
+            config={"categories": list(categories or ()),
+                    "programs": len(rows)},
+            phases=timings,
+        )
     return 0
 
 
-def _run_main(args: list[str]) -> int:
-    from repro.obs import ledger
+def _run_parser() -> argparse.ArgumentParser:
+    parser = cli.parser("python -m repro.suite run", __doc__)
+    parser.add_argument("set", metavar="SET")
+    parser.add_argument("--instance", default="medium", metavar="NAME")
+    parser.add_argument("--jobs", type=cli.positive_int, metavar="N")
+    cli.add_scoring(parser)
+    parser.add_argument("--report", default="", metavar="FILE")
+    parser.add_argument("--format", choices=("md", "html"))
+    parser.add_argument("--no-ledger", action="store_true")
+    return parser
+
+
+def _run(args) -> int:
     from repro.obs.report import render_set_report
-    from repro.suite.runner import DEFAULT_CAPACITY, DEFAULT_LINE, run_set
+    from repro.suite.runner import run_set
 
-    no_ledger = _flag(args, "--no-ledger")
-    instance = _option(args, "--instance", "medium")
-    report_path = _option(args, "--report", "")
-    fmt = _option(args, "--format", "")
-    try:
-        jobs_text = _option(args, "--jobs", "")
-        jobs = int(jobs_text) if jobs_text else None
-        line = int(_option(args, "--line", str(DEFAULT_LINE)))
-        capacity = int(_option(args, "--capacity", str(DEFAULT_CAPACITY)))
-    except ValueError as exc:
-        print(f"suite run: expected an integer: {exc}", file=sys.stderr)
-        return 2
-    if not fmt:
-        fmt = "html" if report_path.endswith((".html", ".htm")) else "md"
-    if fmt not in ("md", "html"):
-        print(f"suite run: unknown format {fmt!r}; choose md or html",
-              file=sys.stderr)
-        return 2
-    bad = [a for a in args if a.startswith("-")]
-    if bad:
-        print(f"suite run: unknown arguments {bad}", file=sys.stderr)
-        return 2
-    if len(args) != 1:
-        print("suite run: exactly one set name expected; see --help "
-              "(python -m repro.suite list --sets shows the sets)",
-              file=sys.stderr)
-        return 2
-
+    fmt = args.format or (
+        "html" if args.report.endswith((".html", ".htm")) else "md"
+    )
     obs = Obs()
     try:
         with use_obs(obs):
             result = run_set(
-                args[0], instance=instance, jobs=jobs, line=line,
-                capacity=capacity,
+                args.set, instance=args.instance, jobs=args.jobs,
+                line=args.line, capacity=args.capacity,
             )
     except KeyError as exc:
         print(f"suite run: {exc.args[0]}", file=sys.stderr)
         return 2
     except Exception as exc:  # a broken instance name, not a broken entry
-        print(f"suite run: {exc}", file=sys.stderr)
-        return 1
+        cli.fail(f"suite run: {exc}")
 
     payload = result.report_payload()
     rows = [
@@ -202,54 +171,42 @@ def _run_main(args: list[str]) -> int:
     for failure in result.failures:
         print(f"FAILED {failure.name}: {failure.error}", file=sys.stderr)
 
-    if report_path:
-        text = render_set_report(payload, fmt=fmt)
-        try:
-            with open(report_path, "w") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"cannot write {report_path}: {exc}", file=sys.stderr)
-            return 1
+    if args.report:
+        cli.write_file(args.report, render_set_report(payload, fmt=fmt))
         print(
             f"wrote {fmt} report over {payload['entries']} entries to "
-            f"{report_path}",
+            f"{args.report}",
             file=sys.stderr,
         )
 
-    if not no_ledger:
-        try:
-            ledger.append_record(
-                ledger.make_record(
-                    "suite.set",
-                    [result.set_name],
-                    config={
-                        "set": result.set_name,
-                        "instance": result.instance,
-                        "jobs": result.jobs,
-                        "line": result.line,
-                        "capacity": result.capacity,
-                    },
-                    phases=ledger.phases_from_obs(obs),
-                    metrics=ledger.counters_from_obs(obs),
-                    bench=result.ledger_payload(),
-                )
-            )
-        except LedgerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    cli.append_ledger(
+        args,
+        "suite.set",
+        [result.set_name],
+        obs=obs,
+        config={
+            "set": result.set_name,
+            "instance": result.instance,
+            "jobs": result.jobs,
+            "line": result.line,
+            "capacity": result.capacity,
+        },
+        bench=result.ledger_payload(),
+    )
     return 0 if result.ok else 1
 
 
+#: subcommand -> (parser factory, handler); a bare invocation lists
+SUBCOMMANDS = {"list": (_list_parser, _list), "run": (_run_parser, _run)}
+
+
+@cli.command
 def main(argv: list[str]) -> int:
-    args = list(argv)
-    if "-h" in args or "--help" in args:
-        print(__doc__)
-        return 0
-    if args and args[0] == "run":
-        return _run_main(args[1:])
-    if args and args[0] == "list":
-        return _list_main(args[1:])
-    return _list_main(args)
+    name = "list"
+    if argv and argv[0] in SUBCOMMANDS:
+        name, argv = argv[0], argv[1:]
+    build, handler = SUBCOMMANDS[name]
+    return handler(build().parse_intermixed_args(argv))
 
 
 if __name__ == "__main__":

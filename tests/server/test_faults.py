@@ -63,6 +63,30 @@ class TestBadRequests:
         assert reply.status == 400
         assert reply.payload["error"]["code"] == "bad-ir"
 
+    @pytest.mark.parametrize(
+        "endpoint,fields",
+        [
+            ("optimize", {"line": 48}),
+            ("lint", {"line": 48}),
+            ("locality", {"line": 48}),
+            ("autotune", {"line": 48}),
+            ("lint", {"checks": ["NOPE"]}),
+            ("lint", {"checks": [2]}),
+            ("locality", {"capacities": ["a"]}),
+            ("locality", {"capacities": [0]}),
+            ("locality", {"capacities": [-4]}),
+            ("locality", {"capacities": [True]}),
+        ],
+    )
+    def test_bad_field_values_are_400(self, client, endpoint, fields):
+        reply = client.request(
+            "POST", f"/v1/{endpoint}", {"source": SOURCE, **fields}
+        )
+        assert reply.status == 400
+        error = reply.payload["error"]
+        assert error["code"] == "bad-field"
+        assert next(iter(fields)) in error["message"]
+
     def test_unknown_endpoint(self, client):
         reply = client.request("POST", "/v1/vectorize", {"source": SOURCE})
         assert reply.status == 404

@@ -108,7 +108,7 @@ class TestObservabilityCLI:
         proc = run_cli(source_file, "--cls", "abc")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert "--cls expects an integer" in proc.stderr
+        assert "argument --cls: expects an integer" in proc.stderr
 
     def test_explain_emits_remarks(self, source_file):
         proc = run_cli(source_file, "--explain")
@@ -242,3 +242,110 @@ class TestLocalitySubcommand:
         proc = run_cli("verify", "--fuzz", "2", env=env)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "seed 3" in proc.stdout
+
+
+class TestPositiveSizes:
+    """Every size, capacity, budget and worker-count option rejects zero
+    and negative values as a usage error, as the HTTP protocol does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["FILE", "--cls", "0"],
+            ["FILE", "--cls", "-3"],
+            ["locality", "FILE", "--capacities", "0,-4"],
+            ["locality", "FILE", "--capacities", "64,0"],
+            ["locality", "FILE", "--line", "0"],
+            ["locality", "FILE", "--sets", "0"],
+            ["locality", "FILE", "--assoc", "-2"],
+            ["lint", "FILE", "--line", "0"],
+            ["lint", "FILE", "--capacity", "-512"],
+            ["autotune", "FILE", "--budget", "0"],
+            ["autotune", "FILE", "--beam", "0"],
+            ["autotune", "FILE", "--topk", "0"],
+            ["autotune", "FILE", "--jobs", "0"],
+            ["autotune", "FILE", "--cls", "0"],
+            ["autotune", "FILE", "--line", "-128"],
+            ["autotune", "FILE", "--capacity", "0"],
+            ["report", "--last", "0"],
+            ["serve", "--jobs", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_positive_size_exits_2(self, argv, source_file, capsys):
+        from repro.__main__ import main
+
+        rc = main([source_file if arg == "FILE" else arg for arg in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "must be positive" in err
+        assert "Traceback" not in err
+
+
+#: The options each command accepted before the move to argparse,
+#: without -h/--help: argparse adds those to every parser except the
+#: translator's, whose help (the module docstring) is printed before
+#: parsing.
+OPTION_SURFACE = {
+    "repro": [
+        "--cache", "--chrome-trace", "--cls", "--explain", "--metrics",
+        "--no-ledger", "--profile", "--report", "--scalar-replace",
+        "--simulate", "--trace", "--version", "-o",
+    ],
+    "verify": ["--explain", "--fuzz", "--metrics", "--seed", "--shrink"],
+    "locality": [
+        "--assoc", "--capacities", "--compare", "--explain", "--line", "--sets",
+    ],
+    "lint": [
+        "--capacity", "--checks", "--explain", "--fix", "--format", "--line",
+        "--metrics", "--no-ledger", "--no-verify", "--sarif", "-o",
+    ],
+    "autotune": [
+        "--beam", "--budget", "--capacity", "--cls", "--compare-sim",
+        "--explain", "--jobs", "--line", "--metrics", "--no-ledger",
+        "--no-verify", "--topk", "-o",
+    ],
+    "report": ["--format", "--last", "--ledger", "-o"],
+    "serve": ["--host", "--jobs", "--port"],
+    "repro.experiments": [
+        "--chrome-trace", "--full", "--jobs", "--no-ledger", "--profile",
+        "--save", "--trace",
+    ],
+    "repro.suite list": ["--no-ledger", "--sets", "--time"],
+    "repro.suite run": [
+        "--capacity", "--format", "--instance", "--jobs", "--line",
+        "--no-ledger", "--report",
+    ],
+}
+
+
+def _command_parser(command):
+    from repro import __main__ as repro_main
+    from repro.experiments import __main__ as experiments_main
+    from repro.suite import __main__ as suite_main
+
+    if command == "repro":
+        return repro_main.translate_parser()
+    if command == "repro.experiments":
+        return experiments_main.build_parser()
+    if command.startswith("repro.suite "):
+        return suite_main.SUBCOMMANDS[command.split()[1]][0]()
+    return repro_main.SUBCOMMANDS[command][0]()
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("command", sorted(OPTION_SURFACE))
+    def test_options_match_the_hand_parsers(self, command):
+        parser = _command_parser(command)
+        assert not parser.allow_abbrev
+        options = {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+        } - {"-h", "--help"}
+        assert sorted(options) == sorted(OPTION_SURFACE[command])
+
+    def test_abbreviated_flag_exits_2(self, source_file):
+        proc = run_cli(source_file, "--sim")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr

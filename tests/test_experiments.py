@@ -215,3 +215,18 @@ class TestFigures89:
     def test_inner_loops_move_harder(self, result):
         after = result.share_at_least(result.inner_transformed, 90)
         assert after > 0.5
+
+
+class TestCLI:
+    @pytest.mark.parametrize(
+        "argv",
+        [["table1", "--frobnicate"], ["nope"], ["figure2", "--jobs", "0"]],
+        ids=" ".join,
+    )
+    def test_usage_errors_exit_2(self, argv, capsys):
+        from repro.experiments.__main__ import main
+
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err

@@ -201,3 +201,19 @@ class TestRunCLI:
         out = capsys.readouterr().out
         for name in ("paper", "polybench", "ai", "smoke", "all"):
             assert name in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--bogus"],
+            ["list", "--bogus"],
+            ["run", "smoke", "--jobs", "0", "--no-ledger"],
+            ["run", "smoke", "--line", "-128", "--no-ledger"],
+        ],
+        ids=" ".join,
+    )
+    def test_usage_errors_exit_2(self, argv, capsys):
+        rc = self._main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
