@@ -47,6 +47,7 @@ from repro.autotune.space import (
     nest_options,
     nest_slots,
 )
+from repro.transforms.recipe import Recipe
 
 __all__ = ["AutotuneResult", "autotune"]
 
@@ -168,41 +169,49 @@ def autotune(
     start = time.perf_counter()
 
     def add(
-        prog: Program, source: str, fusion: str, plans: tuple
+        prog: Program,
+        source: str,
+        fusion: str,
+        plans: tuple,
+        recipe: Recipe | None,
     ) -> Candidate | None:
         evaluator.generated += 1
         text = canonical_key(prog)
         existing = pool.get(text)
         if existing is not None:
+            if existing.recipe is None and recipe is not None:
+                # A search path rebuilt the compound output: keep its
+                # recipe, so verification can replay it.
+                existing = pool[text] = replace(existing, recipe=recipe)
             return existing
         cost = evaluator.cost(text, prog)
         if cost is None:
             return None  # budget exhausted
-        candidate = Candidate(prog, text, source, fusion, plans, cost)
+        candidate = Candidate(prog, text, source, fusion, plans, cost, recipe=recipe)
         pool[text] = candidate
         return candidate
 
     with obs.span(
         "autotune", program=program.name, budget=budget, beam=beam
     ):
-        original = add(program, "original", "none", ())
+        original = add(program, "original", "none", (), Recipe())
         assert original is not None  # budget >= 2
 
         from repro.transforms.compound import compound as run_compound
 
         with obs.span("autotune.compound"):
             compound_program = run_compound(program, oracle=oracle).program
-        compound_cand = add(compound_program, "compound", "compound", ())
+        compound_cand = add(compound_program, "compound", "compound", (), None)
         if compound_cand is None:
             compound_cand = original
 
         cache_bytes = capacity * line
         env = program.param_env
         with obs.span("autotune.search"):
-            for label, variant in fusion_variants(
+            for label, variant, recipe in fusion_variants(
                 program, model, cache_capacity=(cache_bytes, line)
             ):
-                base = add(variant, "search", label, ())
+                base = add(variant, "search", label, (), recipe)
                 if base is None:
                     break
                 states = [base]
@@ -233,6 +242,9 @@ def autotune(
                                 "search",
                                 label,
                                 state.plans + (plan,),
+                                state.recipe.then(*plan.steps())
+                                if state.recipe is not None
+                                else None,
                             )
                             if nxt is not None:
                                 expansions.append(nxt)
@@ -261,7 +273,9 @@ def autotune(
 
             with obs.span("autotune.verify"):
                 for candidate in ranked:
-                    ok, slug = verify_fixit(program, candidate.program)
+                    ok, slug = verify_fixit(
+                        program, candidate.program, candidate.recipe
+                    )
                     if ok:
                         best, verified, verify_slug = candidate, True, slug
                         break

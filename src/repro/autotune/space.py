@@ -43,6 +43,7 @@ from repro.transforms.distribution import distribute_nest
 from repro.transforms.fusion import fuse_adjacent
 from repro.transforms.legality import constraining_vectors, order_is_legal
 from repro.transforms.permute import apply_order
+from repro.transforms.recipe import Distribute, Fuse, Permute, Recipe, Tile
 from repro.transforms.tiling import choose_tile_loops, tile_nest
 
 __all__ = [
@@ -80,6 +81,15 @@ class NestPlan:
     tiles: tuple[tuple[str, int], ...] = ()  # (var, size), sorted
     legality: str = ORIGINAL
 
+    def steps(self) -> tuple:
+        """The recipe steps that apply this plan to its nest."""
+        steps: tuple = ()
+        if self.order != self.original:
+            steps += (Permute((self.slot,), self.order),)
+        if self.tiles:
+            steps += (Tile((self.slot,), self.tiles),)
+        return steps
+
 
 @dataclass(frozen=True)
 class Candidate:
@@ -90,7 +100,9 @@ class Candidate:
     ``compound``, or ``search``); ``fusion`` the fusion/distribution
     variant it was derived from; ``plans`` the per-nest provenance.
     ``cost`` is the planning oracle's verdict, ``sim`` the simulation
-    oracle's (populated only by the top-k rerank).
+    oracle's (populated only by the top-k rerank). ``recipe`` rebuilds
+    ``program`` from the original (None for the compound output, whose
+    decisions are not recorded); verification replays it.
     """
 
     program: Program
@@ -100,6 +112,7 @@ class Candidate:
     plans: tuple[NestPlan, ...] = ()
     cost: OracleCost | None = None
     sim: OracleCost | None = None
+    recipe: Recipe | None = None
 
     def describe(self) -> str:
         """One-line human summary of the configuration."""
@@ -262,18 +275,20 @@ def fusion_variants(
     program: Program,
     model: CostModel,
     cache_capacity: "tuple[int, int] | None" = None,
-) -> list[tuple[str, Program]]:
+) -> list[tuple[str, Program, Recipe]]:
     """Whole-program fusion/distribution variants, deduped by text.
 
     The identity variant comes first; then greedy fusion of adjacent
     compatible nests with the model's benefit requirement on and off
     (both capacity-vetoed when ``cache_capacity`` is given), then
     maximal distribution of every distributable nest. All legality goes
-    through the transforms' own dependence-graph checks.
+    through the transforms' own dependence-graph checks. Each variant
+    comes as ``(label, program, recipe)``, the recipe rebuilding it from
+    ``program``.
     """
     from repro.ir.pretty import pretty_program
 
-    variants: list[tuple[str, Program]] = [("none", program)]
+    variants: list[tuple[str, Program, Recipe]] = [("none", program, Recipe())]
     for label, require_benefit in (("fuse", True), ("fuse-all", False)):
         outcome = fuse_adjacent(
             tuple(program.body),
@@ -283,15 +298,22 @@ def fusion_variants(
             param_env=program.param_env,
         )
         if outcome.fused:
-            variants.append((label, program.with_body(outcome.items)))
+            variants.append(
+                (
+                    label,
+                    program.with_body(outcome.items),
+                    Recipe((Fuse((), outcome.merges),)),
+                )
+            )
 
     used = {loop.var for loop in iter_loops(program)}
     body: list[Loop | Assign] = []
-    distributed = False
+    steps: list[Distribute] = []
     for item in program.body:
         if isinstance(item, Loop) and item.depth >= 2:
             outcome_d = distribute_nest(item, model, used_names=used)
             if outcome_d is not None:
+                steps.append(Distribute.of((len(body),), outcome_d))
                 body.extend(outcome_d.nodes)
                 used |= {
                     loop.var
@@ -299,18 +321,19 @@ def fusion_variants(
                     if isinstance(node, Loop)
                     for loop in iter_loops(node)
                 }
-                distributed = True
                 continue
         body.append(item)
-    if distributed:
-        variants.append(("distribute", program.with_body(tuple(body))))
+    if steps:
+        variants.append(
+            ("distribute", program.with_body(tuple(body)), Recipe(tuple(steps)))
+        )
 
     seen: set[str] = set()
-    unique: list[tuple[str, Program]] = []
-    for label, variant in variants:
+    unique: list[tuple[str, Program, Recipe]] = []
+    for label, variant, recipe in variants:
         text = pretty_program(variant)
         if text in seen:
             continue
         seen.add(text)
-        unique.append((label, variant))
+        unique.append((label, variant, recipe))
     return unique

@@ -30,6 +30,13 @@ from repro.ir.nodes import Assign, Loop, Program
 from repro.lint.diagnostics import NOTE, WARNING, Diagnostic, FixIt
 from repro.lint.registry import LintCheck, LintContext, register
 from repro.model.loopcost import CONSECUTIVE, INVARIANT
+from repro.transforms.recipe import (
+    Distribute,
+    Fuse,
+    Permute,
+    Recipe,
+    ScalarReplace,
+)
 
 __all__ = [
     "StrideCheck",
@@ -147,6 +154,13 @@ class LoopOrderCheck(LintCheck):
                             "permute",
                             description,
                             ctx.replace_top(index, (result.loop,)),
+                            recipe=Recipe(
+                                (
+                                    Permute(
+                                        (index,), result.order, result.reversed_loops
+                                    ),
+                                )
+                            ),
                         ),
                     )
                 )
@@ -176,6 +190,7 @@ class LoopOrderCheck(LintCheck):
                             f"distribute into {outcome.new_nests} nests and "
                             f"permute each into memory order",
                             ctx.replace_top(index, outcome.nodes),
+                            recipe=Recipe((Distribute.of((index,), outcome),)),
                         ),
                     )
                 )
@@ -248,7 +263,7 @@ class FusionCheck(LintCheck):
 
         out: list[Diagnostic] = []
 
-        def scan(body: tuple["Loop | Assign", ...]) -> None:
+        def scan(body: tuple["Loop | Assign", ...], path: tuple[int, ...]) -> None:
             for i in range(len(body) - 1):
                 first, second = body[i], body[i + 1]
                 if not (isinstance(first, Loop) and isinstance(second, Loop)):
@@ -304,14 +319,15 @@ class FusionCheck(LintCheck):
                             f"fuse the {first.var} and {second.var} nests "
                             f"at depth {depth}",
                             _replace_pair(ctx.program, first, fused),
+                            recipe=Recipe((Fuse(path, ((i, i + 1, depth),)),)),
                         ),
                     )
                 )
-            for node in body:
+            for index, node in enumerate(body):
                 if isinstance(node, Loop):
-                    scan(node.body)
+                    scan(node.body, path + (index,))
 
-        scan(ctx.program.body)
+        scan(ctx.program.body, ())
         return out
 
 
@@ -404,6 +420,7 @@ class ScalarReplaceCheck(LintCheck):
                 "scalar-replace",
                 f"promote {replaced.replaced} invariant reference(s) to scalars",
                 replaced.program,
+                recipe=Recipe((ScalarReplace(),)),
             )
             if replaced.replaced
             else None

@@ -15,10 +15,13 @@ predictor. Only then is ``verified`` set and the payoff filled in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.ir.nodes import Program
 from repro.ir.span import Span
+
+if TYPE_CHECKING:
+    from repro.transforms.recipe import Recipe
 
 __all__ = [
     "Diagnostic",
@@ -48,7 +51,9 @@ class FixIt:
     repair has passed legality plus the brute-force oracle;
     ``verification`` carries the outcome slug (``oracle`` on success, a
     failure slug otherwise). ``miss_before``/``miss_after`` are analytic
-    FA-LRU miss ratios at the engine's reference capacity.
+    FA-LRU miss ratios at the engine's reference capacity. ``recipe``
+    is how ``program`` was built from the linted program; verification
+    replays it at capped trip counts. It is not part of the output.
     """
 
     transform: str
@@ -58,6 +63,7 @@ class FixIt:
     verification: str = "unverified"
     miss_before: float = 0.0
     miss_after: float = 0.0
+    recipe: Recipe | None = None
 
     @property
     def payoff(self) -> float:

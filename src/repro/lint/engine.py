@@ -89,7 +89,7 @@ def _verify_and_score(
     fixit = diag.fixit
     assert fixit is not None
     obs = get_obs()
-    ok, slug = verify_fixit(ctx.program, fixit.program)
+    ok, slug = verify_fixit(ctx.program, fixit.program, fixit.recipe)
     # Score through the context's cost oracle — the same interface the
     # autotuner plans with, so both rank a candidate identically.
     after_misses = ctx.oracle.cost(fixit.program).misses

@@ -18,9 +18,14 @@ from repro.ir.nodes import Assign, Loop
 from repro.ir.visit import fresh_name, iter_loops, iter_statements, rename_loops
 from repro.model.loopcost import CostModel
 from repro.obs import get_obs
-from repro.transforms.permute import PermuteResult, permute_nest
+from repro.transforms.permute import PermuteResult, apply_order, permute_nest
 
-__all__ = ["DistributeOutcome", "distribute_nest", "finest_partitions"]
+__all__ = [
+    "DistributeOutcome",
+    "distribute_nest",
+    "finest_partitions",
+    "replay_distribution",
+]
 
 
 @dataclass(frozen=True)
@@ -31,12 +36,23 @@ class DistributeOutcome:
     node when the outermost level was distributed). ``new_nests`` is the
     number of loop nests that resulted from the split (Table 2's R), and
     ``permutations`` the per-partition permutation results.
+
+    The rest is the split in size-independent terms, enough for
+    :func:`replay_distribution` to repeat it on a resized copy of the
+    nest: ``target_path`` (body indices from the nest root down to the
+    distributed loop), ``partitions`` (indices into that loop's body),
+    ``names`` (loop variable of each copy) and ``orders`` (each copy's
+    applied ``(order, reversed_loops)``, or None when it was kept).
     """
 
     nodes: tuple["Loop | Assign", ...]
     level: int
     new_nests: int
     permutations: tuple[PermuteResult, ...]
+    target_path: tuple[int, ...] = ()
+    partitions: tuple[tuple[int, ...], ...] = ()
+    names: tuple[str, ...] = ()
+    orders: tuple[tuple[tuple[str, ...], tuple[str, ...]] | None, ...] = ()
 
 
 def finest_partitions(
@@ -158,43 +174,105 @@ def _try_distribute(
     if len(partitions) < 2:
         return None
 
-    context = outer_loops + _path_to(nest_root, target)
+    path = _path_to(nest_root, target)
+    context = outer_loops + path
 
-    copies: list[Loop] = []
-    names = set(used_names)
-    for idx, partition in enumerate(partitions):
-        var = target.var if idx == 0 else fresh_name(target.var, names)
-        names.add(var)
-        base = target.with_body(partition)
-        copies.append(
-            base if var == target.var else rename_loops(base, {target.var: var})
-        )
+    names: list[str] = []
+    taken = set(used_names)
+    for idx in range(len(partitions)):
+        var = target.var if idx == 0 else fresh_name(target.var, taken)
+        taken.add(var)
+        names.append(var)
+    copies = _copies(target, partitions, names)
 
     improved = False
     rebuilt: list[Loop] = []
     results: list[PermuteResult] = []
+    orders: list[tuple[tuple[str, ...], tuple[str, ...]] | None] = []
     for copy in copies:
         if len(copy.perfect_nest_loops()) >= 2:
             res = permute_nest(copy, model, outer_loops=context[:-1])
             results.append(res)
             rebuilt.append(res.loop)
+            orders.append((res.order, res.reversed_loops) if res.applied else None)
             if res.applied and (
                 res.achieved_memory_order or res.inner_in_memory_position
             ):
                 improved = True
         else:
             rebuilt.append(copy)
+            orders.append(None)
 
     if not improved:
         return None
 
     nodes = _replace(nest_root, target, tuple(rebuilt))
+    position = {id(item): i for i, item in enumerate(target.body)}
     return DistributeOutcome(
         nodes=nodes,
         level=level,
         new_nests=len(copies),
         permutations=tuple(results),
+        target_path=tuple(
+            next(i for i, item in enumerate(outer.body) if item is inner)
+            for outer, inner in zip(path, path[1:])
+        ),
+        partitions=tuple(
+            tuple(position[id(item)] for item in partition)
+            for partition in partitions
+        ),
+        names=tuple(names),
+        orders=tuple(orders),
     )
+
+
+def replay_distribution(
+    nest_root: Loop,
+    target_path: tuple[int, ...],
+    partitions: tuple[tuple[int, ...], ...],
+    names: tuple[str, ...],
+    orders: tuple[tuple[tuple[str, ...], tuple[str, ...]] | None, ...],
+    outer_loops: tuple[Loop, ...] = (),
+) -> tuple["Loop | Assign", ...]:
+    """Repeat a recorded split (see :class:`DistributeOutcome`) on a nest.
+
+    No dependence test or cost model runs: the partitions and orders are
+    taken as given, so a replay is only as legal as its record.
+    """
+    path = [nest_root]
+    for index in target_path:
+        path.append(path[-1].body[index])
+    target = path[-1]
+    context = outer_loops + tuple(path)
+    copies = _copies(
+        target,
+        [tuple(target.body[i] for i in partition) for partition in partitions],
+        names,
+    )
+    rebuilt = tuple(
+        copy
+        if plan is None
+        else apply_order(
+            copy.perfect_nest_loops(), plan[0], set(plan[1]), context[:-1]
+        )
+        for copy, plan in zip(copies, orders)
+    )
+    return _replace(nest_root, target, rebuilt)
+
+
+def _copies(
+    target: Loop,
+    partitions: "list[tuple[Loop | Assign, ...]]",
+    names: "list[str] | tuple[str, ...]",
+) -> list[Loop]:
+    """One copy of ``target`` per partition, the first keeping its name."""
+    copies: list[Loop] = []
+    for var, partition in zip(names, partitions):
+        base = target.with_body(partition)
+        copies.append(
+            base if var == target.var else rename_loops(base, {target.var: var})
+        )
+    return copies
 
 
 def _path_to(nest_root: Loop, target: Loop) -> tuple[Loop, ...]:

@@ -31,7 +31,14 @@ from repro.ir.visit import (
 from repro.model.loopcost import CostModel
 from repro.obs import get_obs
 
-__all__ = ["FusionOutcome", "fuse_adjacent", "fuse_all", "compatible_depth", "fuse_pair"]
+__all__ = [
+    "FusionOutcome",
+    "fuse_adjacent",
+    "fuse_all",
+    "compatible_depth",
+    "fuse_pair",
+    "replay_fusion",
+]
 
 
 # ----------------------------------------------------------------------
@@ -139,6 +146,10 @@ class FusionOutcome:
     items: tuple["Loop | Assign", ...]
     candidates: int  # nests that had a compatible partner (Table 2's C)
     fused: int  # nests merged away into another (Table 2's A)
+    #: ``(a, b, depth)`` per fusion, in order: item ``b`` of the input was
+    #: fused into item ``a`` (each index names the input item, or the
+    #: nest it has grown into) at ``depth`` levels.
+    merges: tuple[tuple[int, int, int], ...] = ()
 
 
 def _min_cost(loop: Loop, model: CostModel) -> float:
@@ -180,28 +191,45 @@ def fuse_adjacent(
     candidates_total = 0
     fused_total = 0
     run: list[Loop] = []
+    merges: list[tuple[int, int, int]] = []
 
-    def flush() -> None:
+    def flush(end: int) -> None:
         nonlocal candidates_total, fused_total
         if len(run) > 1:
-            merged, cands, fused = _fuse_run(
+            merged, cands, fused, run_merges = _fuse_run(
                 tuple(run), model, require_benefit, cache_capacity, param_env
             )
             out.extend(merged)
             candidates_total += cands
             fused_total += fused
+            start = end - len(run)
+            merges.extend((start + a, start + b, d) for a, b, d in run_merges)
         else:
             out.extend(run)
         run.clear()
 
-    for item in items:
+    for index, item in enumerate(items):
         if isinstance(item, Loop):
             run.append(item)
         else:
-            flush()
+            flush(index)
             out.append(item)
-    flush()
-    return FusionOutcome(tuple(out), candidates_total, fused_total)
+    flush(len(items))
+    return FusionOutcome(tuple(out), candidates_total, fused_total, tuple(merges))
+
+
+def replay_fusion(
+    items: "tuple[Loop | Assign, ...]", merges: tuple[tuple[int, int, int], ...]
+) -> tuple["Loop | Assign", ...]:
+    """Repeat recorded fusions (see :class:`FusionOutcome`) on a body.
+
+    No legality or benefit test runs: the merges are taken as given.
+    """
+    current = dict(enumerate(items))
+    for a, b, depth in merges:
+        current[a] = fuse_pair(current[a], current[b], depth)
+        del current[b]
+    return tuple(current[index] for index in sorted(current))
 
 
 def _fuse_run(
@@ -210,7 +238,7 @@ def _fuse_run(
     require_benefit: bool,
     cache_capacity: "tuple[int, int] | None" = None,
     param_env: dict | None = None,
-) -> tuple[list[Loop], int, int]:
+) -> tuple[list[Loop], int, int, list[tuple[int, int, int]]]:
     n = len(nests)
     depth = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -247,6 +275,7 @@ def _fuse_run(
         key=lambda p: -depth[p[0]][p[1]],
     )
     fused_count = 0
+    merges: list[tuple[int, int, int]] = []
     current: dict[int, Loop] = {i: nests[i] for i in range(n)}
 
     obs = get_obs()
@@ -319,6 +348,7 @@ def _fuse_run(
                     obs.metrics.counter("fusion.rejected").inc()
                 continue
         current[a] = fuse_pair(current[a], current[b], d)
+        merges.append((a, b, d))
         cluster[b] = a
         merged_into[a].extend(merged_into.pop(b))
         del current[b]
@@ -334,7 +364,7 @@ def _fuse_run(
             obs.metrics.counter("fusion.applied").inc()
 
     ordered = [current[rep] for rep in sorted(current)]
-    return ordered, candidates, fused_count
+    return ordered, candidates, fused_count, merges
 
 
 def _nest_dag(nests: tuple[Loop, ...]) -> set[tuple[int, int]]:

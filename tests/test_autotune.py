@@ -240,7 +240,7 @@ class TestSpace:
         program = get_entry("jacobi").program(16)
         variants = fusion_variants(program, CostModel(cls=16))
         assert variants[0][0] == "none"
-        texts = [pretty_program(v) for _, v in variants]
+        texts = [pretty_program(v) for _, v, _ in variants]
         assert len(texts) == len(set(texts))  # deduped
 
 
@@ -320,3 +320,82 @@ class TestAutotune:
         result = autotune(program, line=128, capacity=64, budget=16, verify=False)
         assert not result.verified
         assert result.best.text == result.ranked[0].text
+
+
+class TestCappedVerification:
+    def test_constant_bound_pick_verified_at_capped_trips(self, tilable, monkeypatch):
+        import repro.verify.oracles as oracles
+        from repro.ir.visit import iter_loops
+        from repro.lint.verifyfix import VERIFY_PARAM_CAP
+
+        trips = []
+        run_state = oracles.run_state
+
+        def spy(program):
+            env = program.param_env
+            trips.extend(
+                loop.trip_count(env)
+                for loop in iter_loops(program)
+                if not (loop.lb.names | loop.ub.names) - set(env)
+            )
+            return run_state(program)
+
+        monkeypatch.setattr(oracles, "run_state", spy)
+        result = autotune(tilable, line=128, capacity=32, budget=16)
+        assert result.verified
+        assert trips and max(trips) <= VERIFY_PARAM_CAP
+
+    @pytest.mark.parametrize("case", ["tilable", "cholesky_kij", "erlebacher"])
+    def test_search_candidates_carry_replayable_recipes(self, case, tilable):
+        program = {
+            "tilable": tilable,
+            "cholesky_kij": kernels.cholesky(12, "KIJ"),  # a distribute variant
+            "erlebacher": get_entry("erlebacher_like").program(instance="mini"),
+        }[case]
+        result = autotune(program, line=128, capacity=32, budget=64, verify=False)
+        rewritten = [c for c in result.ranked if c.source != "original"]
+        assert rewritten
+        for candidate in rewritten:
+            # A compound output rebuilt by a search path took its recipe.
+            assert candidate.recipe is not None or candidate.source == "compound"
+            if candidate.recipe is not None:
+                replayed = candidate.recipe.replay(program)
+                assert pretty_program(replayed) == candidate.text
+
+    def test_distribution_and_fusion_variants_verify_capped(self):
+        from repro.lint.verifyfix import verify_fixit
+        from repro.transforms.recipe import Distribute, Fuse
+
+        seen = set()
+        for program in (
+            kernels.cholesky(12, "KIJ"),
+            get_entry("erlebacher_like").program(instance="mini"),
+        ):
+            for label, variant, recipe in fusion_variants(program, CostModel(cls=16)):
+                if label == "none":
+                    continue
+                seen.update(type(step) for step in recipe.steps)
+                assert verify_fixit(program, variant, recipe) == (True, "oracle")
+        assert seen == {Distribute, Fuse}
+
+    def test_illegal_tiling_recipe_fails_verification(self):
+        # A (1,-1) dependence: the band is not fully permutable, so tiling
+        # both loops reorders it. Replay skips the legality check.
+        from repro.lint.verifyfix import verify_fixit
+        from repro.transforms.recipe import Recipe, Tile
+
+        program = parse_program(
+            """
+PROGRAM wave
+REAL A(66,66)
+DO I = 2, 65
+  DO J = 1, 64
+    A(I,J) = A(I-1,J+1) + 1
+  ENDDO
+ENDDO
+END
+"""
+        )
+        recipe = Recipe((Tile((0,), (("I", 16), ("J", 16))),))
+        ok, slug = verify_fixit(program, recipe.replay(program), recipe)
+        assert not ok, slug

@@ -8,8 +8,11 @@ must fire reads before the write within one statement instance.
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.dependence import region_dependences
 from repro.frontend import parse_program
+from repro.suite import get_entry, get_set
 from repro.verify.depforce import (
     Access,
     analysis_covers,
@@ -193,3 +196,188 @@ END
         accesses = enumerate_accesses(program, program.param_env)
         locations = [loc for _, loc, _ in accesses]
         assert locations == [(5,), (4,), (3,), (2,), (1,)]
+
+
+# ----------------------------------------------------------------------
+# The grouped oracle against its pairwise definition
+# ----------------------------------------------------------------------
+def reference_dependences(root, env, include_inputs=False):
+    """The pairwise definition: every two accesses to one location.
+
+    This is the oracle's original loop, kept verbatim as the reference
+    the grouped evaluation must reproduce exactly.
+    """
+    from collections import defaultdict
+
+    from repro.ir.visit import enclosing_loops
+
+    chains = enclosing_loops(root)
+    by_location = defaultdict(list)
+    for array, location, access in enumerate_accesses(root, env):
+        by_location[(array, location)].append(access)
+
+    found = set()
+    for accesses in by_location.values():
+        accesses.sort(key=lambda a: a.time)
+        for i, src in enumerate(accesses):
+            for snk in accesses[i + 1 :]:
+                if not (src.is_write or snk.is_write) and not include_inputs:
+                    continue
+                chain_a, chain_b = chains[src.sid], chains[snk.sid]
+                k = 0
+                while k < len(chain_a) and k < len(chain_b) and chain_a[k] is chain_b[k]:
+                    k += 1
+                src_iters = dict(src.iters)
+                snk_iters = dict(snk.iters)
+                dist = tuple(
+                    (snk_iters[loop.var] - src_iters[loop.var]) // loop.step
+                    for loop in chain_a[:k]
+                )
+                found.add((src.sid, src.slot, snk.sid, snk.slot, dist))
+    return found
+
+
+#: Threshold settings that force each evaluation path of the oracle:
+#: the defaults, every location grouped with Python pairing, and every
+#: group pair through NumPy as chunked pairs (one chunk per source row,
+#: or few chunks) or as the unit-step bitset sweep.
+PATHS = {
+    "default": {},
+    "grouped-python": {"BUSY_LOCATION": 0, "NUMPY_PAIRS": 1 << 40},
+    "numpy-chunks": {"BUSY_LOCATION": 0, "NUMPY_PAIRS": 0, "SWEEP_WORDS": -1},
+    "numpy-row-chunks": {
+        "BUSY_LOCATION": 0,
+        "NUMPY_PAIRS": 0,
+        "SWEEP_WORDS": -1,
+        "CHUNK_PAIRS": 1,
+    },
+    "numpy-sweep": {"BUSY_LOCATION": 0, "NUMPY_PAIRS": 0, "SWEEP_WORDS": 1 << 40},
+}
+
+
+class TestGroupedMatchesReference:
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_random_nests(self, path, monkeypatch):
+        from repro.verify import depforce
+        from repro.verify.gennest import generate_program
+        from repro.verify.runner import case_rng
+
+        for name, value in PATHS[path].items():
+            monkeypatch.setattr(depforce, name, value)
+        for case in range(40):
+            program = generate_program(case_rng(7, case), name=f"DF{case}")
+            env = program.param_env
+            for include_inputs in (False, True):
+                assert brute_force_dependences(
+                    program, env, include_inputs
+                ) == reference_dependences(program, env, include_inputs), (
+                    case,
+                    include_inputs,
+                )
+
+    @pytest.mark.parametrize("name", sorted(e.name for e in get_set("all").entries()))
+    def test_suite_entry_and_its_fixits(self, name):
+        # The entry at mini, then every lint fix-it candidate as the
+        # verifier hands it to the oracle: its recipe replayed on the
+        # capped original.
+        from repro.ir.pretty import pretty_program
+        from repro.lint import lint_program
+        from repro.lint.verifyfix import capped
+
+        program = get_entry(name).program(instance="mini")
+        env = program.param_env
+        for include_inputs in (False, True):
+            assert brute_force_dependences(
+                program, env, include_inputs
+            ) == reference_dependences(program, env, include_inputs)
+        small = capped(program)
+        for diag in lint_program(program, verify=False).diagnostics:
+            fixit = diag.fixit
+            if fixit is None:
+                continue
+            assert pretty_program(fixit.recipe.replay(program)) == pretty_program(
+                fixit.program
+            ), (diag.check_id, fixit.transform)
+            candidate = fixit.recipe.replay(small)
+            assert brute_force_dependences(
+                candidate, candidate.param_env, include_inputs=True
+            ) == reference_dependences(
+                candidate, candidate.param_env, include_inputs=True
+            ), (diag.check_id, fixit.transform)
+
+
+REDUCTION = """
+PROGRAM R
+REAL A({n},{n},{n})
+DO I = 1, {n}
+  DO J = 1, {n}
+    DO K = 1, {n}
+      S = S + A(I,J,K)
+    ENDDO
+  ENDDO
+ENDDO
+END
+"""
+
+
+class TestScalarReduction:
+    """A 0-d reference hit on every iteration: one location, n^3 reads and
+    n^3 writes, so (2 n^3)^2 / 2 access pairs under the pairwise loop."""
+
+    def test_small_reduction_matches_reference(self):
+        program = _program(REDUCTION.format(n=5))
+        for include_inputs in (False, True):
+            assert brute_force_dependences(
+                program, {}, include_inputs
+            ) == reference_dependences(program, {}, include_inputs)
+
+    def test_large_reduction_is_exact_in_bounded_memory(self):
+        import itertools
+        import tracemalloc
+
+        n = 16
+        program = _program(REDUCTION.format(n=n))
+        sid = program.statements[0].sid
+        tracemalloc.start()
+        try:
+            exact = brute_force_dependences(program, {}, include_inputs=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 16.7M projected pairs per group pair: taken whole they would
+        # need hundreds of MB; chunked they stay in tens.
+        assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        # Every lexicographically positive distance in the box, between
+        # any two of the scalar's read (slot 1) and write (slot 0), plus
+        # the same-iteration read -> write (anti) at distance 0.
+        positive = {
+            d
+            for d in itertools.product(range(-(n - 1), n), repeat=3)
+            if d > (0, 0, 0)
+        }
+        expected = {
+            (sid, src, sid, snk, d)
+            for src in (0, 1)
+            for snk in (0, 1)
+            for d in positive
+        } | {(sid, 1, sid, 0, (0, 0, 0))}
+        assert exact == expected
+
+
+class TestAnalysisCovers:
+    def test_reports_exactly_the_uncovered(self):
+        program = _program(
+            """
+PROGRAM P
+REAL A(12)
+DO I = 2, 10
+  A(I) = A(I-1) + A(I+1)
+ENDDO
+END
+"""
+        )
+        deps = region_dependences(program, include_inputs=True)
+        exact = brute_force_dependences(program, {}, include_inputs=True)
+        bogus = (99, 0, 99, 1, (1,))
+        assert analysis_covers(deps, exact | {bogus}) == [bogus]
+        assert analysis_covers([], exact) == list(exact)
