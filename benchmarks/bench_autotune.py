@@ -102,10 +102,7 @@ def measure(kernels, jobs: int | None = None) -> list[dict]:
         # generated. Sharded across workers for wall time, but the
         # *charged* cost is the serial sum of per-candidate seconds —
         # what a simulation-driven search would actually have to spend.
-        calls = [
-            (c.program, LINE, CAPACITY, LINE // 8)
-            for c in result.ranked
-        ]
+        calls = [(c.program, LINE, CAPACITY) for c in result.ranked]
         sim_rows = run_sharded(_sim_eval, calls, jobs)
         sim_ratios = {}
         sim_serial_s = 0.0

@@ -16,10 +16,10 @@ gates:
 The measured trajectory is written to ``BENCH_locality.json`` so future
 PRs can track both accuracy and speedup. Runs standalone
 (``python benchmarks/bench_locality.py [--quick]``) and under pytest
-(``pytest benchmarks/bench_locality.py``) without the pytest-benchmark
-fixture. ``--quick`` uses small sizes and skips the speedup gate (tiny
-kernels finish in microseconds either way; CI boxes are noisy) but
-still enforces the 2pp accuracy gate and writes the artifact.
+(``pytest benchmarks/bench_locality.py``). ``--quick`` uses small sizes
+and skips the speedup gate (tiny kernels finish in microseconds either
+way; CI boxes are noisy) but still enforces the 2pp accuracy gate and
+writes the artifact.
 """
 
 from __future__ import annotations

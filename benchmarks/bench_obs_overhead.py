@@ -17,8 +17,7 @@ simulate + blocktrace compile, the enabled checks, and the engine
 counters).
 
 Runs standalone (``python benchmarks/bench_obs_overhead.py``) and under
-pytest (``pytest benchmarks/bench_obs_overhead.py``) without requiring
-the pytest-benchmark fixture.
+pytest (``pytest benchmarks/bench_obs_overhead.py``).
 """
 
 from __future__ import annotations

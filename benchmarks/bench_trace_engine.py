@@ -15,12 +15,11 @@ set sequence and the interleaved conflict stream is an artifact of the
 benchmark geometry, not of the kernel. Odd sizes measure the honest case.
 
 Runs standalone (``python benchmarks/bench_trace_engine.py [--quick]``)
-and under pytest (``pytest benchmarks/bench_trace_engine.py``) without
-requiring the pytest-benchmark fixture. ``--quick`` uses small sizes and
-skips the speedup gate (CI boxes are noisy) but still enforces coverage
-and bit-identical results, and still writes the JSON artifact. The
-interpreter runs once per kernel; the block engine is timed as the
-median of ``--repeats`` runs.
+and under pytest (``pytest benchmarks/bench_trace_engine.py``).
+``--quick`` uses small sizes and skips the speedup gate (CI boxes are
+noisy) but still enforces coverage and bit-identical results, and still
+writes the JSON artifact. The interpreter runs once per kernel; the
+block engine is timed as the median of ``--repeats`` runs.
 """
 
 from __future__ import annotations

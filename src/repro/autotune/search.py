@@ -35,7 +35,6 @@ from repro.ir.nodes import Loop, Program
 from repro.model.loopcost import CostModel
 from repro.model.oracle import (
     AnalyticOracle,
-    CostOracle,
     OracleCost,
     SimulationOracle,
     canonical_key,
@@ -90,7 +89,7 @@ class AutotuneResult:
 class _Evaluator:
     """Budgeted, memoized access to the planning oracle."""
 
-    oracle: CostOracle
+    oracle: AnalyticOracle
     budget: int
     evals: int = 0
     eval_s: float = 0.0
@@ -120,11 +119,9 @@ def _rank_key(candidate: Candidate) -> tuple:
     return (candidate.cost.misses, candidate.text)
 
 
-def _sim_eval(
-    program: Program, line: int, capacity: int, cls: int
-) -> tuple[float, int, float]:
+def _sim_eval(program: Program, line: int, capacity: int) -> tuple[float, int, float]:
     """Sharded worker: simulated (misses, accesses, seconds) of a program."""
-    oracle = SimulationOracle(model=CostModel(cls=cls), line=line, capacity=capacity)
+    oracle = SimulationOracle(line=line, capacity=capacity)
     start = time.perf_counter()
     cost = oracle.cost(program)
     return cost.misses, cost.accesses, time.perf_counter() - start
@@ -133,7 +130,6 @@ def _sim_eval(
 def autotune(
     program: Program,
     model: CostModel | None = None,
-    oracle: CostOracle | None = None,
     line: int = 128,
     capacity: int = 512,
     budget: int = 128,
@@ -148,8 +144,8 @@ def autotune(
     """Search permutation × tiling × fusion space for ``program``.
 
     ``capacity`` is the FA-LRU cache capacity in lines; ``line`` the
-    line size in bytes. The default planning oracle is an
-    :class:`AnalyticOracle` at that geometry over a
+    line size in bytes. Candidates are scored by an
+    :class:`AnalyticOracle` at that geometry; the default ``model`` is a
     :class:`CostModel` with ``cls = line // 8`` (REAL*8 elements).
     ``budget`` caps *distinct* oracle evaluations; ``beam`` the number
     of states kept per nest step. With ``compare_sim`` the ``topk``
@@ -157,14 +153,10 @@ def autotune(
     sharded over ``jobs`` worker processes.
     """
     if model is None:
-        model = oracle.model if oracle is not None else CostModel(
-            cls=max(1, line // 8)
-        )
-    if oracle is None:
-        oracle = AnalyticOracle(model=model, line=line, capacity=capacity)
+        model = CostModel(cls=max(1, line // 8))
     budget = max(2, budget)
     obs = get_obs()
-    evaluator = _Evaluator(oracle, budget)
+    evaluator = _Evaluator(AnalyticOracle(line=line, capacity=capacity), budget)
     pool: dict[str, Candidate] = {}
     start = time.perf_counter()
 
@@ -200,7 +192,7 @@ def autotune(
         from repro.transforms.compound import compound as run_compound
 
         with obs.span("autotune.compound"):
-            compound_program = run_compound(program, oracle=oracle).program
+            compound_program = run_compound(program, model).program
         compound_cand = add(compound_program, "compound", "compound", (), None)
         if compound_cand is None:
             compound_cand = original
@@ -293,10 +285,7 @@ def autotune(
             with obs.span("autotune.rerank", candidates=len(top)):
                 rows = run_sharded(
                     _sim_eval,
-                    [
-                        (c.program, line, capacity, model.cls)
-                        for c in top
-                    ],
+                    [(c.program, line, capacity) for c in top],
                     jobs,
                 )
             sim_s = time.perf_counter() - sim_start

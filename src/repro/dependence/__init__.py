@@ -9,7 +9,6 @@ from repro.dependence.pairs import (
     OUTPUT,
     Dependence,
     RefSite,
-    all_dependences,
     region_dependences,
 )
 from repro.dependence.tests import analyze_ref_pair
@@ -24,7 +23,6 @@ __all__ = [
     "DependenceGraph",
     "DepVector",
     "RefSite",
-    "all_dependences",
     "analyze_ref_pair",
     "carried_levels",
     "is_vectorizable",

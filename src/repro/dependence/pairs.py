@@ -19,7 +19,7 @@ from repro.ir.visit import enclosing_loops, iter_statements, statement_positions
 from repro.dependence.tests import analyze_ref_pair
 from repro.dependence.vector import DIR_GT, DIR_LT, DIR_STAR, DepVector
 
-__all__ = ["Dependence", "RefSite", "all_dependences", "region_dependences"]
+__all__ = ["Dependence", "RefSite", "region_dependences"]
 
 #: Dependence kinds, named from the source access to the sink access.
 FLOW = "flow"  # write -> read
@@ -126,10 +126,6 @@ def region_dependences(
                     )
                 )
     return deps
-
-
-#: Backwards-compatible alias used throughout the transforms.
-all_dependences = region_dependences
 
 
 def _pair_dependences(

@@ -3,14 +3,7 @@
 from repro.exec.interp import AccessEvent, Interpreter, default_init, run_program
 from repro.exec.layout import ArrayLayout, MemoryLayout
 from repro.exec.timing import Machine, PerfResult, simulate
-from repro.exec.trace import (
-    AccessCounter,
-    CacheFeed,
-    StrideHistogram,
-    TraceRecorder,
-    record_trace,
-    replay,
-)
+from repro.exec.trace import AccessCounter, StrideHistogram
 from repro.exec.blocktrace import (
     AccessBlock,
     BlockTraceError,
@@ -24,14 +17,10 @@ __all__ = [
     "AccessCounter",
     "AccessEvent",
     "BlockTraceError",
-    "CacheFeed",
     "CompiledBlockTrace",
     "StrideHistogram",
-    "TraceRecorder",
     "block_events",
     "compile_block_trace",
-    "record_trace",
-    "replay",
     "ArrayLayout",
     "Interpreter",
     "Machine",

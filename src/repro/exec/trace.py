@@ -2,9 +2,7 @@
 
 The block trace engine emits :class:`repro.exec.AccessBlock` batches; the
 consumers here turn that stream into the measurements the experiments
-need: cache feeds, counters, stride histograms, and recorded traces that
-can be replayed into several cache configurations without re-executing
-the program.
+need: access counters and stride histograms.
 """
 
 from __future__ import annotations
@@ -14,44 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cache.cache import CacheConfig, CacheStats, SetAssocCache
-from repro.ir.nodes import Program
 from repro.obs import get_obs
 
-__all__ = [
-    "AccessCounter",
-    "CacheFeed",
-    "StrideHistogram",
-    "TraceRecorder",
-    "record_trace",
-    "replay",
-]
-
-
-class CacheFeed:
-    """Feeds accesses into a cache, from blocks or interpreter events."""
-
-    def __init__(self, config: CacheConfig):
-        self.cache = SetAssocCache(config)
-
-    def on_event(self, event) -> None:
-        self.cache.access(event.address, event.size, event.write)
-
-    def on_block(self, block) -> None:
-        """Batched feed: one :class:`repro.exec.AccessBlock` per call."""
-        self.cache.access_block(block.addresses, block.sizes)
-
-    @property
-    def stats(self) -> CacheStats:
-        return self.cache.stats
-
-    def to_metrics(self, metrics=None, prefix: str = "cache") -> None:
-        """Publish the fed cache's stats into a metrics registry
-        (default: the active observability context's)."""
-        metrics = metrics if metrics is not None else get_obs().metrics
-        stats = self.cache.stats
-        metrics.counter(f"{prefix}.accesses").inc(stats.accesses)
-        metrics.counter(f"{prefix}.misses").inc(stats.misses)
+__all__ = ["AccessCounter", "StrideHistogram"]
 
 
 @dataclass
@@ -137,41 +100,3 @@ class StrideHistogram:
         histogram = metrics.histogram(f"{prefix}.stride")
         for delta, count in self.deltas.items():
             histogram.record(delta, count)
-
-
-class TraceRecorder:
-    """Records (address, write, sid) triples for later replay."""
-
-    def __init__(self):
-        self.events: list[tuple[int, bool, int]] = []
-
-    def on_block(self, block) -> None:
-        self.events.extend(
-            zip(
-                block.addresses.tolist(),
-                block.writes.tolist(),
-                block.sids.tolist(),
-            )
-        )
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-def record_trace(program: Program, params=None) -> TraceRecorder:
-    """Run the block trace once, recording every access."""
-    from repro.exec.blocktrace import compile_block_trace
-
-    recorder = TraceRecorder()
-    compile_block_trace(program, params).run(recorder)
-    return recorder
-
-
-def replay(
-    recorder: TraceRecorder, config: CacheConfig, elem_size: int = 8
-) -> CacheStats:
-    """Replay a recorded trace into a fresh cache; returns its stats."""
-    cache = SetAssocCache(config)
-    for address, write, _ in recorder.events:
-        cache.access(address, elem_size, write)
-    return cache.stats

@@ -102,7 +102,7 @@ def _kernel_row(name: str, n: int, budget: int, beam: int) -> AutotuneRow:
     )
     sim_ratios: dict[str, float] = {}
     for candidate in result.ranked:
-        misses, accesses, _ = _sim_eval(candidate.program, LINE, CAPACITY, LINE // 8)
+        misses, accesses, _ = _sim_eval(candidate.program, LINE, CAPACITY)
         sim_ratios[candidate.text] = misses / accesses if accesses else 0.0
     assert result.best.cost is not None
     assert result.original.cost is not None

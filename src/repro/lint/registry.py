@@ -17,7 +17,7 @@ from repro.ir.span import Span
 from repro.ir.visit import iter_loops, iter_statements
 from repro.lint.diagnostics import Diagnostic
 from repro.model.loopcost import CostModel
-from repro.model.oracle import AnalyticOracle, CostOracle
+from repro.model.oracle import AnalyticOracle
 
 if TYPE_CHECKING:
     from repro.dependence.pairs import Dependence
@@ -42,18 +42,15 @@ class LintContext:
         model: CostModel | None = None,
         line: int = 128,
         capacity: int = 512,
-        oracle: CostOracle | None = None,
     ) -> None:
         self.program = program
         self.model = model or CostModel()
         self.line = line
         self.capacity = capacity
         #: The cost oracle every payoff score goes through — the same
-        #: interface the autotuner plans with, so lint and autotune rank
+        #: one the autotuner plans with, so lint and autotune rank
         #: candidates identically (and share the prediction memo cache).
-        self.oracle: CostOracle = oracle or AnalyticOracle(
-            model=self.model, line=line, capacity=capacity
-        )
+        self.oracle = AnalyticOracle(line=line, capacity=capacity)
         self._deps: list[Dependence] | None = None
         self._prediction: LocalityPrediction | None = None
         self._stmt_spans: dict[int, Span] | None = None
@@ -73,14 +70,7 @@ class LintContext:
     def prediction(self) -> "LocalityPrediction":
         """Analytic locality prediction of the (unmodified) program."""
         if self._prediction is None:
-            if isinstance(self.oracle, AnalyticOracle):
-                self._prediction = self.oracle.prediction(self.program)
-            else:
-                from repro.locality.analytic import predict_locality
-
-                self._prediction = predict_locality(
-                    self.program, line=self.line
-                )
+            self._prediction = self.oracle.prediction(self.program)
         return self._prediction
 
     def miss_ratio(self) -> float:

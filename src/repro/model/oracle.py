@@ -1,20 +1,18 @@
-"""Cost oracles: one interface answering "how good is this program?".
+"""Cost oracles: one answer to "how good is this program?".
 
-Every planner in the pipeline used to rank candidates its own way — the
-compound driver through :meth:`CostModel.memory_order`, the lint engine
-through a private predicted-misses helper, and simulation-driven
-comparisons through the trace analyzer. This module gives them one
-protocol:
+Lint payoff scoring and autotune candidate ranking both score whole
+programs through ``cost(program) -> OracleCost``:
 
-* :class:`CostOracle` — ``cost(program) -> OracleCost`` plus the
-  paper's ``memory_order`` ranking, so a planner can both score whole
-  candidate programs and ask for a desired loop order;
 * :class:`AnalyticOracle` — the trace-free analytic predictor
   (:mod:`repro.locality.analytic`): milliseconds per candidate, the
   default planning oracle for autotuning and lint payoff scoring;
 * :class:`SimulationOracle` — exact LRU stack-distance ground truth
   (:mod:`repro.cache.reuse`): seconds per candidate, reserved for final
   top-k reranks and regret measurement.
+
+Desired loop orders are not an oracle question: planners ask
+:meth:`repro.model.CostModel.memory_order` (the paper's LoopCost
+ranking) directly.
 
 Both implementations memoize on the *canonicalized* program — the
 round-trippable pretty-printed text, which captures parameters, array
@@ -25,12 +23,11 @@ scoring reuse each other's evaluations within a process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.ir.nodes import Loop, Program
+from repro.ir.nodes import Program
 from repro.ir.pretty import pretty_program
-from repro.model.loopcost import CostModel
 from repro.model.memo import MemoCache
 
 if TYPE_CHECKING:
@@ -39,7 +36,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "OracleCost",
-    "CostOracle",
     "AnalyticOracle",
     "SimulationOracle",
     "canonical_key",
@@ -72,24 +68,6 @@ class OracleCost:
         return self.misses < other.misses - eps
 
 
-@runtime_checkable
-class CostOracle(Protocol):
-    """What a planner needs: whole-program cost + desired loop order."""
-
-    name: str
-    model: CostModel
-
-    def cost(self, program: Program) -> OracleCost:
-        """Misses/accesses of the whole program at the oracle's geometry."""
-        ...
-
-    def memory_order(
-        self, root: "Loop | Program", outer: tuple[Loop, ...] = ()
-    ) -> list[str]:
-        """Desired loop order, outermost first (paper §4.1)."""
-        ...
-
-
 #: Shared across AnalyticOracle instances: (canonical text, line) ->
 #: LocalityPrediction. Predictions are capacity-agnostic, so every
 #: capacity query reuses one entry.
@@ -105,17 +83,11 @@ class AnalyticOracle:
     """Trace-free predictor as the cost oracle (the planning default).
 
     ``line`` is the cache line size in bytes; ``capacity`` the FA-LRU
-    capacity in lines at which misses are counted. ``memory_order``
-    delegates to the paper's LoopCost ranking — itself analytic — so a
-    compound run driven by this oracle reproduces the paper's decisions
-    while candidate *scoring* uses the reuse-distance model.
+    capacity in lines at which misses are counted.
     """
 
-    model: CostModel = field(default_factory=CostModel)
     line: int = 128
     capacity: int = 512
-
-    name = "analytic"
 
     def prediction(self, program: Program) -> "LocalityPrediction":
         key = (canonical_key(program), self.line)
@@ -135,21 +107,13 @@ class AnalyticOracle:
             accesses=prediction.accesses,
         )
 
-    def memory_order(
-        self, root: "Loop | Program", outer: tuple[Loop, ...] = ()
-    ) -> list[str]:
-        return self.model.memory_order(root, outer)
-
 
 @dataclass
 class SimulationOracle:
     """Exact trace-driven ground truth (slow; rerank/regret only)."""
 
-    model: CostModel = field(default_factory=CostModel)
     line: int = 128
     capacity: int = 512
-
-    name = "simulation"
 
     def profile(self, program: Program) -> "ReuseProfile":
         key = (canonical_key(program), self.line)
@@ -168,8 +132,3 @@ class SimulationOracle:
             misses=float(profile.accesses - profile.hits_for_capacity(self.capacity)),
             accesses=profile.accesses,
         )
-
-    def memory_order(
-        self, root: "Loop | Program", outer: tuple[Loop, ...] = ()
-    ) -> list[str]:
-        return self.model.memory_order(root, outer)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from repro.ir.nodes import Assign, Loop, Program
 from repro.ir.visit import iter_loops
 from repro.model.loopcost import CostModel
-from repro.model.oracle import AnalyticOracle, CostOracle
 from repro.obs import get_obs
 from repro.transforms.distribution import DistributeOutcome, distribute_nest
 from repro.transforms.fusion import fuse_adjacent, fuse_all
@@ -77,7 +76,6 @@ def compound(
     program: Program,
     model: CostModel | None = None,
     cache_capacity: "tuple[int, int] | None" = None,
-    oracle: CostOracle | None = None,
 ) -> CompoundOutcome:
     """Apply the compound transformation algorithm to a program.
 
@@ -86,16 +84,8 @@ def compound(
     innermost working set overflows the cache are skipped. The paper's
     own algorithm has no such check (and occasionally lost hit rate for
     it); pass None to reproduce the paper's behaviour.
-
-    ``oracle`` — the :class:`~repro.model.oracle.CostOracle` the driver
-    consults for desired loop orders. The default wraps ``model`` in an
-    :class:`~repro.model.oracle.AnalyticOracle`, whose ``memory_order``
-    delegates straight back to the paper's LoopCost ranking, so passing
-    neither argument reproduces the paper's decisions exactly.
     """
-    if oracle is None:
-        oracle = AnalyticOracle(model=model or CostModel())
-    model = oracle.model
+    model = model or CostModel()
     obs = get_obs()
     outcome = CompoundOutcome(program)
     used_names = {loop.var for loop in iter_loops(program)}
@@ -108,9 +98,7 @@ def compound(
                 new_body.append(item)
                 continue
             with obs.span("compound.nest", nest=nest_index, var=item.var):
-                nodes, report, dist = optimize_nest(
-                    item, model, used_names, nest_index, oracle=oracle
-                )
+                nodes, report, dist = optimize_nest(item, model, used_names, nest_index)
             new_body.extend(nodes)
             outcome.nests.append(report)
             if dist is not None:
@@ -183,11 +171,8 @@ def optimize_nest(
     model: CostModel,
     used_names: set[str],
     nest_index: int = 0,
-    oracle: CostOracle | None = None,
 ) -> tuple[tuple["Loop | Assign", ...], NestReport, DistributeOutcome | None]:
     """Optimize one nest; returns replacement nodes, report, distribution."""
-    if oracle is None:
-        oracle = AnalyticOracle(model=model)
     depth = nest.depth
     loop_count = sum(1 for _ in iter_loops(nest))
 
@@ -207,7 +192,7 @@ def optimize_nest(
         return (res.loop,), report, None
 
     # --- Imperfect nest. Already in memory order? ---------------------
-    desired = tuple(oracle.memory_order(nest))
+    desired = tuple(model.memory_order(nest))
     preorder = tuple(loop.var for loop in iter_loops(nest))
     if desired == preorder:
         report = NestReport(

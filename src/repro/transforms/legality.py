@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.dependence.pairs import region_dependences
-from repro.dependence.vector import DepVector
+from repro.dependence.vector import DepVector, _direction, _negate
 from repro.ir.nodes import Loop
 
 __all__ = [
@@ -105,15 +105,3 @@ def _vector_legal(
         if direction in (">", "*"):
             return False
     return True  # all '=' (loop independent)
-
-
-def _direction(comp) -> str:
-    if isinstance(comp, int):
-        return "<" if comp > 0 else (">" if comp < 0 else "=")
-    return comp
-
-
-def _negate(comp):
-    if isinstance(comp, int):
-        return -comp
-    return {"<": ">", ">": "<", "=": "=", "*": "*"}[comp]

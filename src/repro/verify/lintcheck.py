@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.ir.nodes import Program
+from repro.verify.oracles import state_difference
 
 __all__ = ["LintMismatch", "check_lint", "ORACLE_LINE", "ORACLE_CAPACITY"]
 
@@ -38,21 +39,6 @@ _MISS_EPS = 1e-9
 class LintMismatch:
     where: str  # "fixit-state" | "fixit-misses" | "fixit-unverified" | "fix-state" | "fix-misses" | "crash"
     detail: str
-
-
-def _state_equal(original: Program, candidate: Program) -> str | None:
-    """Compare shrunken final states on shared arrays; None when equal."""
-    from repro.lint.verifyfix import _shrunk
-    from repro.verify.oracles import run_state
-
-    base = run_state(_shrunk(original))
-    state = run_state(_shrunk(candidate))
-    differing = sorted(
-        name for name in set(base) & set(state) if base[name] != state[name]
-    )
-    if differing:
-        return ", ".join(differing)
-    return None
 
 
 def check_lint(program: Program) -> LintMismatch | None:
@@ -79,7 +65,7 @@ def check_lint(program: Program) -> LintMismatch | None:
                         f"{diag.severity}-severity diagnostic",
                     )
                 continue
-            differing = _state_equal(program, fixit.program)
+            differing = state_difference(program, fixit.program)
             if differing:
                 return LintMismatch(
                     "fixit-state",
@@ -100,7 +86,7 @@ def check_lint(program: Program) -> LintMismatch | None:
             program, line=ORACLE_LINE, capacity=ORACLE_CAPACITY
         )
         if outcome.applied:
-            differing = _state_equal(program, outcome.program)
+            differing = state_difference(program, outcome.program)
             if differing:
                 return LintMismatch(
                     "fix-state",

@@ -36,7 +36,14 @@ from repro.transforms.scalar_replace import scalar_replace_program
 from repro.transforms.tiling import tile_nest
 from repro.transforms.unroll_jam import unroll_and_jam
 
-__all__ = ["Trial", "TrialResult", "transform_trials", "check_trial", "run_state"]
+__all__ = [
+    "Trial",
+    "TrialResult",
+    "transform_trials",
+    "check_trial",
+    "run_state",
+    "state_difference",
+]
 
 #: Permutation trials are enumerated exhaustively up to this chain depth.
 _MAX_PERM_DEPTH = 3
@@ -89,6 +96,20 @@ def run_state(program: Program) -> dict[str, bytes]:
     """
     arrays = Interpreter(program, check_values=False).run()
     return {name: arr.tobytes() for name, arr in arrays.items()}
+
+
+def state_difference(original: Program, candidate: Program) -> str | None:
+    """Arrays whose final states differ after shrinking both programs'
+    parameters to the fix-it verification cap; None when all shared
+    arrays agree."""
+    from repro.lint.verifyfix import _shrunk
+
+    base = run_state(_shrunk(original))
+    state = run_state(_shrunk(candidate))
+    differing = sorted(
+        name for name in set(base) & set(state) if base[name] != state[name]
+    )
+    return ", ".join(differing) or None
 
 
 def check_trial(base: dict[str, bytes], trial: Trial) -> TrialResult:

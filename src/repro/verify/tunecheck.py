@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.ir.nodes import Loop, Program
+from repro.verify.oracles import state_difference
 
 __all__ = ["TuneMismatch", "check_autotune", "ORACLE_LINE", "ORACLE_CAPACITY"]
 
@@ -49,21 +50,6 @@ _APPROVED = frozenset({"original", "checked"})
 class TuneMismatch:
     where: str  # "plan-legality" | "order-illegal" | "monotone" | "compound" | "state" | "crash"
     detail: str
-
-
-def _state_equal(original: Program, candidate: Program) -> str | None:
-    """Compare shrunken final states on shared arrays; None when equal."""
-    from repro.lint.verifyfix import _shrunk
-    from repro.verify.oracles import run_state
-
-    base = run_state(_shrunk(original))
-    state = run_state(_shrunk(candidate))
-    differing = sorted(
-        name for name in set(base) & set(state) if base[name] != state[name]
-    )
-    if differing:
-        return ", ".join(differing)
-    return None
 
 
 def _audit_plans(result) -> TuneMismatch | None:
@@ -156,7 +142,7 @@ def check_autotune(program: Program) -> TuneMismatch | None:
                 f"{best.cost.misses} misses vs compound "
                 f"{compound_cand.cost.misses}",
             )
-        differing = _state_equal(program, best.program)
+        differing = state_difference(program, best.program)
         if differing:
             return TuneMismatch(
                 "state",

@@ -123,14 +123,14 @@ class TestMemoCache:
 
 
 # ----------------------------------------------------------------------
-# The cost-oracle protocol both lint and autotune score through
+# The cost oracles both lint and autotune score through
 # ----------------------------------------------------------------------
 class TestOracles:
     def test_analytic_matches_predictor(self):
         from repro.locality import predict_locality
 
         program = kernels.matmul(16, "KIJ")
-        oracle = AnalyticOracle(model=CostModel(cls=16), line=128, capacity=64)
+        oracle = AnalyticOracle(line=128, capacity=64)
         cost = oracle.cost(program)
         prediction = predict_locality(program, line=128)
         assert cost.misses == prediction.misses_for_capacity(64)
@@ -170,14 +170,6 @@ class TestOracles:
     def test_canonical_key_is_pretty_text(self):
         program = kernels.matmul(8, "IJK")
         assert canonical_key(program) == pretty_program(program)
-
-    def test_memory_order_delegates_to_model(self):
-        program = kernels.matmul(16, "KIJ")
-        nest = program.body[0]
-        oracle = AnalyticOracle(model=CostModel(cls=16))
-        assert tuple(oracle.memory_order(nest)) == tuple(
-            CostModel(cls=16).memory_order(nest)
-        )
 
 
 # ----------------------------------------------------------------------

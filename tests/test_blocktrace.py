@@ -300,7 +300,7 @@ class TestMemoCaches:
 
         program = cholesky(10, "KIJ")
 
-        def run_once():
+        def analyze():
             from repro.dependence.pairs import region_dependences
 
             with use_obs(Obs()) as obs:
@@ -309,8 +309,8 @@ class TestMemoCaches:
             return deps, counters
 
         dep_tests._PAIR_CACHE.clear()
-        cold_deps, cold_counters = run_once()
-        warm_deps, warm_counters = run_once()
+        cold_deps, cold_counters = analyze()
+        warm_deps, warm_counters = analyze()
         assert warm_deps == cold_deps
         # Kind counters replay exactly on cache hits.
         for key in ("dep.pairs", "dep.test.ziv", "dep.test.siv", "dep.test.miv"):

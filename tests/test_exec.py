@@ -16,6 +16,7 @@ from repro.exec import (
 )
 from repro.frontend import parse_program
 from repro.model import CostModel
+from repro.suite import matmul
 from repro.transforms import compound
 
 
@@ -237,6 +238,10 @@ class TestTiming:
         slow = simulate(prog, Machine(cache=CACHE2, miss_penalty=100))
         assert fast.operations == slow.operations
         assert fast.cycles < slow.cycles
+
+    def test_every_access_is_simulated(self):
+        # 3 reads + 1 write per matmul instance.
+        assert simulate(matmul(32, "JKI")).accesses == 32 ** 3 * 4
 
 
 SEMANTICS_SOURCES = [

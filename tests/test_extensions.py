@@ -70,9 +70,9 @@ class TestStripMine:
             strip_mine(loop, 4, {"I"})
 
 
-def tiled_matmul(n, tiles):
+def const_matmul(n):
     # matmul with constant bounds so strip-mining applies.
-    prog = parse_program(
+    return parse_program(
         f"""
         PROGRAM mm
         REAL A({n},{n}), B({n},{n}), C({n},{n})
@@ -86,6 +86,10 @@ def tiled_matmul(n, tiles):
         END
         """
     )
+
+
+def tiled_matmul(n, tiles):
+    prog = const_matmul(n)
     result = tile_nest(prog.top_loops[0], tiles)
     return prog, prog.with_body((result.loop,)), result
 
@@ -247,6 +251,19 @@ class TestScalarReplacement:
         after = simulate(result.program, compiled=False)
         # One of the four references per iteration becomes scalar traffic.
         assert after.accesses < before.accesses
+
+    def test_traffic_and_cycles_at_48(self):
+        # Promoting the I-invariant B(K,J) removes a quarter of matmul's
+        # memory references; the hoisted pre-loads add one B read per
+        # (J, K) pair.
+        program = const_matmul(48)
+        result = scalar_replace_program(program)
+        machine = Machine(cache=CACHE2, miss_penalty=20)
+        before = simulate(program, machine)
+        after = simulate(result.program, machine)
+        assert result.replaced == 1
+        assert after.accesses == before.accesses * 3 // 4 + 48 * 48
+        assert after.cycles < before.cycles
 
 
 class TestSkewing:
