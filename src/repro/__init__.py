@@ -41,7 +41,8 @@ from repro.ir import (
     pretty_program,
     validate_program,
 )
-from repro.model import CostModel, CostPoly
+from repro.ir.poly import Poly
+from repro.model import CostModel
 from repro.obs import (
     MetricsRegistry,
     Obs,
@@ -72,7 +73,6 @@ __all__ = [
     "CacheStats",
     "CompoundOutcome",
     "CostModel",
-    "CostPoly",
     "DependenceError",
     "ExecutionError",
     "IRError",
@@ -84,6 +84,7 @@ __all__ = [
     "Obs",
     "ParseError",
     "PerfResult",
+    "Poly",
     "Program",
     "ProgramBuilder",
     "Ref",

@@ -174,16 +174,6 @@ def legal_orders(
     return legal[:cap]
 
 
-def _trip_of(loop: Loop) -> int | None:
-    """Constant trip count, or None (symbolic bounds / non-unit step)."""
-    if loop.step != 1:
-        return None
-    span = loop.ub - loop.lb
-    if not span.is_constant():
-        return None
-    return span.const + 1
-
-
 def tile_ladder(
     nest: Loop,
     model: CostModel,
@@ -208,7 +198,7 @@ def tile_ladder(
     trips: dict[str, int] = {}
     for var in choose_tile_loops(nest, model):
         loop = by_var.get(var)
-        trip = _trip_of(loop) if loop is not None else None
+        trip = loop.constant_trip() if loop is not None and loop.step == 1 else None
         if trip is not None and trip > 1:
             trips[var] = trip
     if not trips:

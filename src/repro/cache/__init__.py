@@ -5,7 +5,6 @@ from repro.cache.hierarchy import (
     DEFAULT_TLB,
     Hierarchy,
     HierarchyResult,
-    TLBConfig,
     tlb_config,
 )
 from repro.cache.configs import ALL_CONFIGS, CACHE1, CACHE2, SPARC2, line_elements
@@ -17,7 +16,6 @@ __all__ = [
     "DEFAULT_TLB",
     "Hierarchy",
     "HierarchyResult",
-    "TLBConfig",
     "tlb_config",
     "CACHE1",
     "CACHE2",

@@ -83,14 +83,6 @@ class CacheStats:
             return 1.0
         return hits / total
 
-    def merged_with(self, other: "CacheStats") -> "CacheStats":
-        return CacheStats(
-            self.accesses + other.accesses,
-            self.hits + other.hits,
-            self.cold_misses + other.cold_misses,
-            self.conflict_misses + other.conflict_misses,
-        )
-
 
 @dataclass(frozen=True)
 class BlockResult:
@@ -520,6 +512,3 @@ class SetAssocCache:
         """Invalidate all lines (cold-miss tracking is preserved)."""
         for cache_set in self._sets:
             cache_set.clear()
-
-    def reset_stats(self) -> None:
-        self.stats = CacheStats()

@@ -15,7 +15,6 @@ identical statistics.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,6 @@ from repro.cache.cache import CacheConfig, CacheStats, SetAssocCache
 from repro.errors import ReproError
 
 __all__ = [
-    "TLBConfig",
     "TLB_LEVEL_NAME",
     "tlb_config",
     "Hierarchy",
@@ -47,20 +45,6 @@ def tlb_config(
     """A TLB as a page-granular fully-associative cache config."""
     assoc = assoc or entries
     return CacheConfig(name, size=entries * page, assoc=assoc, line=page)
-
-
-def TLBConfig(entries: int = 64, page: int = 4096, assoc: int | None = None) -> CacheConfig:
-    """Deprecated alias of :func:`tlb_config`.
-
-    Despite the CamelCase name this never was a dataclass constructor —
-    it returns a plain :class:`CacheConfig`.
-    """
-    warnings.warn(
-        "TLBConfig is deprecated; use tlb_config()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return tlb_config(entries, page, assoc)
 
 
 DEFAULT_TLB = tlb_config()

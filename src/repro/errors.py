@@ -65,3 +65,8 @@ class TransformError(ReproError):
 class ExecutionError(ReproError):
     """The loop-nest interpreter hit a runtime problem (unbound symbol,
     out-of-bounds subscript, division by zero, ...)."""
+
+
+class PolySumError(ReproError, ValueError):
+    """A polynomial could not be evaluated (an unbound variable), or a
+    loop chain cannot be counted exactly by polynomial summation."""

@@ -3,7 +3,6 @@
 from repro.exec.interp import AccessEvent, Interpreter, default_init, run_program
 from repro.exec.layout import ArrayLayout, MemoryLayout
 from repro.exec.timing import Machine, PerfResult, simulate
-from repro.exec.trace import AccessCounter, StrideHistogram
 from repro.exec.blocktrace import (
     AccessBlock,
     BlockTraceError,
@@ -14,11 +13,9 @@ from repro.exec.blocktrace import (
 
 __all__ = [
     "AccessBlock",
-    "AccessCounter",
     "AccessEvent",
     "BlockTraceError",
     "CompiledBlockTrace",
-    "StrideHistogram",
     "block_events",
     "compile_block_trace",
     "ArrayLayout",

@@ -53,11 +53,6 @@ class PerfResult:
     def hit_rate(self) -> float:
         return self.cache.hit_rate()
 
-    def speedup_over(self, other: "PerfResult") -> float:
-        if self.cycles == 0:
-            return float("inf")
-        return other.cycles / self.cycles
-
 
 def simulate(
     program: Program,

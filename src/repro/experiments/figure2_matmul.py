@@ -34,14 +34,6 @@ class Figure2Result:
     cycles: dict[tuple[str, int, str], int]  # (machine, size, order) -> cycles
     simulated_rankings: dict[tuple[str, int], tuple[str, ...]]
 
-    @property
-    def rank_agreements(self) -> dict[tuple[str, int], bool]:
-        """Does the simulated best order match the model's best?"""
-        return {
-            key: ranking[0] == self.model_ranking[0]
-            for key, ranking in self.simulated_rankings.items()
-        }
-
     def spread(self, machine: str, size: int) -> float:
         """worst/best cycle ratio — the paper's 'factors of up to ...'."""
         values = [

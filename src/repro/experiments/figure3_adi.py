@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.model import CostModel, CostPoly
+from repro.ir.poly import Poly
+from repro.model import CostModel
 from repro.suite.kernels import adi
 from repro.stats.report import render_table
 
@@ -18,9 +19,9 @@ __all__ = ["Figure3Result", "run", "render"]
 
 @dataclass
 class Figure3Result:
-    unfused_total_k: CostPoly  # sum of the two distributed nests at K
-    fused_cost_k: CostPoly
-    fused_cost_i: CostPoly
+    unfused_total_k: Poly  # sum of the two distributed nests at K
+    fused_cost_k: Poly
+    fused_cost_i: Poly
 
     @property
     def fusion_profitable(self) -> bool:
@@ -35,8 +36,8 @@ def run(cls: int = 4) -> Figure3Result:
     model = CostModel(cls=cls)
 
     distributed = adi(100, "distributed").top_loops[0]
-    outer_trip = CostPoly.symbol("N") - 1  # DO I = 2, N
-    unfused = CostPoly.constant(0)
+    outer_trip = Poly.var("N") - 1  # DO I = 2, N
+    unfused = Poly.constant(0)
     for inner in distributed.inner_loops:
         # Inner-nest cost times the shared outer loop's trip count, the
         # paper's "compute LoopCost independently for each candidate".

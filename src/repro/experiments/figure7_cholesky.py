@@ -32,13 +32,6 @@ class Figure7Result:
         return tuple(sorted(self.cycles, key=self.cycles.get))
 
     @property
-    def model_picks_best_inner(self) -> bool:
-        """The forms with the model's preferred inner loop (I) beat the
-        rest."""
-        best = self.simulated_ranking[0]
-        return best.endswith(self.model_ranking[0][-1])
-
-    @property
     def compound_matches_best(self) -> bool:
         """Compound's output is within 5% of the best simulated form."""
         best = min(self.cycles.values())

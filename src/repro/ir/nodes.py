@@ -75,6 +75,12 @@ class Assign:
 Node = "Loop | Assign"
 
 
+def _trip(span: int, step: int) -> int:
+    """Iterations of ``DO v = lb, lb + span, step`` (Fortran floor
+    division), clamped at 0 for empty ranges."""
+    return max((span + step) // step, 0)
+
+
 @dataclass(frozen=True)
 class Loop:
     """A ``DO var = lb, ub, step`` loop with a body of nodes.
@@ -113,9 +119,15 @@ class Loop:
     def trip_count(self, env: Mapping[str, int]) -> int:
         """Concrete number of iterations under ``env`` (0 when empty)."""
         lb = self.lb.evaluate(env)
-        ub = self.ub.evaluate(env)
-        count = (ub - lb + self.step) // self.step
-        return max(count, 0)
+        return _trip(self.ub.evaluate(env) - lb, self.step)
+
+    def constant_trip(self, env: Mapping[str, int] | None = None) -> int | None:
+        """Number of iterations (0 when empty) when ``ub - lb`` is constant
+        after substituting ``env``; None when the span stays symbolic."""
+        span = self.ub - self.lb
+        if env:
+            span = span.partial_evaluate(env)
+        return _trip(span.const, self.step) if span.is_constant() else None
 
     def iter_values(self, env: Mapping[str, int]) -> range:
         """The concrete iteration range under ``env``."""

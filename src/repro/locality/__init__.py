@@ -21,17 +21,11 @@ from repro.locality.analytic import (
 )
 from repro.cache.reuse import RefProfile, per_ref_profile
 from repro.locality.histogram import PerRefReuseAnalyzer, oracle_profile
-from repro.locality.polysum import (
-    Poly,
-    PolySumError,
-    chain_count,
-    weighted_chain_count,
-)
+from repro.locality.polysum import PolySumError, chain_count, weighted_chain_count
 
 __all__ = [
     "LocalityPrediction",
     "PerRefReuseAnalyzer",
-    "Poly",
     "PolySumError",
     "RefProfile",
     "ReuseTerm",

@@ -246,18 +246,6 @@ class _NestModel:
         self._foot_cache: dict[tuple[int, int], int] = {}
 
     # -- trips ---------------------------------------------------------
-    @staticmethod
-    def _interval(
-        aff: Affine, ranges: Mapping[str, tuple[int, int]]
-    ) -> tuple[int, int]:
-        """Conservative [lo, hi] hull of an affine over variable ranges."""
-        lo = hi = aff.const
-        for name, coeff in aff.terms:
-            v_lo, v_hi = ranges.get(name, (1, 8))
-            lo += min(coeff * v_lo, coeff * v_hi)
-            hi += max(coeff * v_lo, coeff * v_hi)
-        return lo, hi
-
     def _resolve_trips(
         self,
         body: Iterable,
@@ -279,8 +267,9 @@ class _NestModel:
             # Value range: a hull over the whole iteration space (params
             # only resolved), so triangular bounds are not pinned to the
             # midpoint of the enclosing loops.
-            l_lo, l_hi = self._interval(node.lb.partial_evaluate(self.env), ranges)
-            u_lo, u_hi = self._interval(node.ub.partial_evaluate(self.env), ranges)
+            # Names without a range (unresolved symbols) assume 1..8.
+            l_lo, l_hi = node.lb.partial_evaluate(self.env).interval(ranges, (1, 8))
+            u_lo, u_hi = node.ub.partial_evaluate(self.env).interval(ranges, (1, 8))
             lo, hi = min(l_lo, u_lo), max(l_hi, u_hi)
             self.var_range[id(node)] = (lo, hi)
             inner_env = dict(mid_env)

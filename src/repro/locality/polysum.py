@@ -7,9 +7,8 @@ triangular loops are polynomials in the outer indices, so the count of a
 whole chain is obtained by summing polynomials over affine ranges
 (Faulhaber's formulas), innermost-out.
 
-:class:`Poly` is a tiny multivariate polynomial over loop-variable names
-with ``Fraction`` coefficients — enough machinery for degree-bounded
-closed forms, far short of a computer-algebra system.
+The polynomials are :class:`repro.ir.poly.Poly`, the same type the
+cost model's ``LoopCost`` values use.
 """
 
 from __future__ import annotations
@@ -18,109 +17,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from repro.ir.affine import Affine
+from repro.errors import PolySumError
+from repro.ir.poly import Poly
 
-__all__ = ["Poly", "PolySumError", "chain_count", "weighted_chain_count"]
-
-#: Monomial: sorted tuple of (name, power); () is the constant monomial.
-Monomial = tuple[tuple[str, int], ...]
-
-
-class PolySumError(ValueError):
-    """The chain cannot be counted exactly by polynomial summation."""
-
-
-class Poly:
-    """Multivariate polynomial with Fraction coefficients (immutable)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        cleaned = {
-            m: Fraction(c) for m, c in (terms or {}).items() if c != 0
-        }
-        object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, *_):  # pragma: no cover - defensive
-        raise AttributeError("Poly is immutable")
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def constant(value) -> "Poly":
-        return Poly({(): Fraction(value)})
-
-    @staticmethod
-    def var(name: str) -> "Poly":
-        return Poly({((name, 1),): Fraction(1)})
-
-    @staticmethod
-    def from_affine(form: Affine) -> "Poly":
-        terms: dict[Monomial, Fraction] = {(): Fraction(form.const)}
-        for name, coeff in form.terms:
-            terms[((name, 1),)] = Fraction(coeff)
-        return Poly(terms)
-
-    # ------------------------------------------------------------------
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            other = Poly.constant(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return Poly(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other if isinstance(other, Poly) else Poly.constant(-other))
-
-    def __mul__(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            other = Poly.constant(other)
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                powers: dict[str, int] = {}
-                for name, p in m1 + m2:
-                    powers[name] = powers.get(name, 0) + p
-                mono = tuple(sorted(powers.items()))
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
-        return Poly(terms)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, env: Mapping[str, int]) -> Fraction:
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            value = coeff
-            for name, power in mono:
-                if name not in env:
-                    raise PolySumError(f"unbound variable {name!r}")
-                value *= Fraction(env[name]) ** power
-            total += value
-        return total
-
-    def substitute(self, name: str, replacement: "Poly") -> "Poly":
-        """Replace ``name`` with a polynomial (for x = lb + s*t rewrites)."""
-        out = Poly()
-        for mono, coeff in self.terms.items():
-            piece = Poly.constant(coeff)
-            for n, power in mono:
-                base = replacement if n == name else Poly.var(n)
-                for _ in range(power):
-                    piece = piece * base
-            out = out + piece
-        return out
-
-    @property
-    def names(self) -> frozenset[str]:
-        return frozenset(n for mono in self.terms for n, _ in mono)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Poly({self.terms!r})"
+__all__ = ["PolySumError", "chain_count", "weighted_chain_count"]
 
 
 @lru_cache(maxsize=32)
@@ -205,20 +105,6 @@ def _loop_range(loop) -> tuple[Poly, Poly, str]:
         # reversed range, and counting does not care about order.
         return Poly.from_affine(loop.ub), Poly.from_affine(loop.lb), loop.var
     raise PolySumError(f"step {loop.step} outside the exact closed forms")
-
-
-def _guard_nonempty(loop, env: Mapping[str, int]) -> bool:
-    """Can this loop's range be empty somewhere in the iteration space?
-
-    The closed forms tolerate exactly-empty ranges (ub = lb - 1) but not
-    "negative" ones. Checked by interval arithmetic over the outer envs
-    the caller has already pinned; symbolic leftovers fail safe.
-    """
-    span = loop.ub - loop.lb + loop.step
-    resolved = span.partial_evaluate(env)
-    if resolved.is_constant():
-        return resolved.const >= 0
-    return True  # symbolic: give the closed form a chance; modes check later
 
 
 def chain_count(chain, env: Mapping[str, int]) -> int:

@@ -6,7 +6,6 @@ Also home of the cost oracles (:mod:`repro.model.oracle`), which answer
 the shared memo-cache layer (:mod:`repro.model.memo`).
 """
 
-from repro.model.costpoly import CostPoly
 from repro.model.loopcost import CONSECUTIVE, INVARIANT, NONE, CostModel
 from repro.model.memo import MemoCache, cache_stats, registered_caches
 from repro.model.nest import NestInfo, build_nest_info, trip_poly
@@ -17,7 +16,6 @@ __all__ = [
     "AnalyticOracle",
     "CONSECUTIVE",
     "CostModel",
-    "CostPoly",
     "GROUP_TEMPORAL_MAX_DISTANCE",
     "INVARIANT",
     "MemoCache",

@@ -50,7 +50,7 @@ def inner_loop_footprint(
                 continue
             cost = model.ref_cost(info, rep.ref, inner)
             try:
-                total_lines += cost.evaluate(env or {})
+                total_lines += float(cost.evaluate(env or {}))
             except Exception:
                 total_lines += cost.magnitude()
     return total_lines * line_bytes

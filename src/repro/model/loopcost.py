@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from repro.ir.expr import Ref
 from repro.ir.nodes import Loop, Program
-from repro.model.costpoly import CostPoly
+from repro.ir.poly import Poly
 from repro.model.memo import MemoCache
 from repro.model.nest import NestInfo, build_nest_info, nest_structure
 from repro.model.refgroup import GROUP_TEMPORAL_MAX_DISTANCE, RefGroup, ref_groups
@@ -66,7 +66,7 @@ class CostModel:
         ),
         repr=False,
     )
-    # (root, outer, loop_var) structural -> CostPoly. Per-model: the
+    # (root, outer, loop_var) structural -> Poly. Per-model: the
     # result depends on cls/temporal_max.
     _cost_cache: MemoCache = field(
         default_factory=lambda: MemoCache(
@@ -125,11 +125,11 @@ class CostModel:
             return CONSECUTIVE
         return NONE
 
-    def ref_cost(self, info: NestInfo, ref: Ref, loop: Loop) -> CostPoly:
+    def ref_cost(self, info: NestInfo, ref: Ref, loop: Loop) -> Poly:
         """Cache lines accessed by ``ref`` over ``loop``'s iterations."""
         kind = self.ref_cost_kind(ref, loop)
         if kind == INVARIANT:
-            return CostPoly.constant(1)
+            return Poly.constant(1)
         trip = info.trips[loop.var]
         if kind == CONSECUTIVE:
             stride = abs(loop.step * ref.subs[0].coeff(loop.var))
@@ -141,7 +141,7 @@ class CostModel:
     # ------------------------------------------------------------------
     def loop_cost(
         self, root: "Loop | Program", loop_var: str, outer: tuple[Loop, ...] = ()
-    ) -> CostPoly:
+    ) -> Poly:
         """Total cache lines accessed with ``loop_var`` innermost.
 
         Memoized on the structural (root, outer, loop_var) key — the
@@ -155,7 +155,7 @@ class CostModel:
             return cached
         info = self.nest_info(root, outer)
         loop = info.loop_by_var[loop_var]
-        total = CostPoly.constant(0)
+        total = Poly.constant(0)
         for group in self.groups(root, loop_var, outer):
             rep = group.representative
             cost = self.ref_cost(info, rep.ref, loop)
@@ -168,7 +168,7 @@ class CostModel:
 
     def loop_costs(
         self, root: "Loop | Program", outer: tuple[Loop, ...] = ()
-    ) -> dict[str, CostPoly]:
+    ) -> dict[str, Poly]:
         """LoopCost for every loop of the nest, keyed by index var."""
         info = self.nest_info(root, outer)
         return {

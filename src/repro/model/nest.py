@@ -17,7 +17,7 @@ from repro.ir.affine import Affine
 from repro.ir.nodes import Assign, Loop, Program
 from repro.ir.visit import enclosing_loops, iter_loops, iter_statements
 from repro.dependence.pairs import Dependence, RefSite, region_dependences
-from repro.model.costpoly import CostPoly
+from repro.ir.poly import Poly
 
 __all__ = ["NestInfo", "build_nest_info", "nest_structure", "trip_poly"]
 
@@ -45,7 +45,7 @@ class NestInfo:
         return {loop.var: loop for loop in self.outer + self.loops}
 
     @cached_property
-    def trips(self) -> dict[str, CostPoly]:
+    def trips(self) -> dict[str, Poly]:
         """Symbolic trip-count polynomial per loop var (context included)."""
         return {
             loop.var: trip_poly(loop, self.loop_by_var)
@@ -87,7 +87,7 @@ def build_nest_info(root: "Loop | Program", outer: tuple[Loop, ...] = ()) -> Nes
     return NestInfo(root, loops, chains, sites, deps, tuple(outer))
 
 
-def trip_poly(loop: Loop, loop_by_var: dict[str, Loop]) -> CostPoly:
+def trip_poly(loop: Loop, loop_by_var: dict[str, Loop]) -> Poly:
     """Symbolic trip count of ``loop`` as a cost polynomial.
 
     Rectangular bounds give the exact affine trip ``(ub-lb+step)/step``.
@@ -100,8 +100,8 @@ def trip_poly(loop: Loop, loop_by_var: dict[str, Loop]) -> CostPoly:
     resolved = _extreme(span, loop_by_var, maximize=(loop.step > 0), seen=frozenset({loop.var}))
     if resolved.is_constant():
         # Exact Fortran trip count (floor division), clamped at zero.
-        return CostPoly.constant(max(resolved.const // loop.step, 0))
-    poly = CostPoly.from_affine(resolved) / loop.step
+        return Poly.constant(max(resolved.const // loop.step, 0))
+    poly = Poly.from_affine(resolved) / loop.step
     return poly
 
 

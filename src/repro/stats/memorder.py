@@ -146,7 +146,7 @@ def _group_cost(model, info, rep, inner_loop, chain, env=None) -> float:
             cost = cost * info.trips[enclosing.var]
     if env:
         try:
-            return cost.evaluate(env)
+            return float(cost.evaluate(env))
         except ReproError:
             pass
     return cost.magnitude()

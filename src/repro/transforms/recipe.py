@@ -129,10 +129,10 @@ class Tile:
         chain = {loop.var: loop for loop in nest.perfect_nest_loops()}  # type: ignore[union-attr]
         sizes = {}
         for var, size in self.tiles:
-            span = chain[var].ub - chain[var].lb
+            trip = chain[var].constant_trip()
             # A symbolic trip count is left to strip_mine to refuse.
-            if span.is_constant():
-                size = _fit_tile(size, span.const + 1)
+            if trip is not None:
+                size = _fit_tile(size, trip)
             sizes[var] = size
         tiled = tile_nest(nest, sizes, check=False).loop  # type: ignore[arg-type]
         return _replace_at(program, self.path, (tiled,))

@@ -45,12 +45,11 @@ def strip_mine(loop: Loop, tile: int, used_names: set[str]) -> Loop:
         raise TransformError(f"tile size must be positive, got {tile}")
     if loop.step != 1:
         raise TransformError(f"cannot strip-mine loop {loop.var} with step {loop.step}")
-    span = loop.ub - loop.lb
-    if not span.is_constant():
+    trip = loop.constant_trip()
+    if trip is None:
         raise TransformError(
             f"cannot strip-mine loop {loop.var}: symbolic trip count"
         )
-    trip = span.const + 1
     if trip % tile:
         raise TransformError(
             f"loop {loop.var}: trip {trip} not divisible by tile {tile}"

@@ -45,12 +45,11 @@ def unroll_and_jam(nest_root: Loop, factor: int, check: bool = True) -> Loop:
         raise TransformError(
             f"cannot unroll-and-jam loop {nest_root.var} with step {nest_root.step}"
         )
-    span = nest_root.ub - nest_root.lb
-    if not span.is_constant():
+    trip = nest_root.constant_trip()
+    if trip is None:
         raise TransformError(
             f"cannot unroll-and-jam loop {nest_root.var}: symbolic trip count"
         )
-    trip = span.const + 1
     if trip % factor:
         raise TransformError(
             f"loop {nest_root.var}: trip {trip} not divisible by {factor}"

@@ -66,20 +66,6 @@ class GenConfig:
 DEFAULT_CONFIG = GenConfig()
 
 
-def _affine_range(form: Affine, ranges: dict[str, tuple[int, int]]) -> tuple[int, int]:
-    """Interval of ``form`` when each variable spans its recorded range."""
-    lo = hi = form.const
-    for name, coeff in form.terms:
-        vlo, vhi = ranges[name]
-        if coeff >= 0:
-            lo += coeff * vlo
-            hi += coeff * vhi
-        else:
-            lo += coeff * vhi
-            hi += coeff * vlo
-    return lo, hi
-
-
 class _Gen:
     def __init__(self, rng: random.Random, cfg: GenConfig) -> None:
         self.rng = rng
@@ -180,7 +166,7 @@ class _Gen:
                 other = rng.choice([w for w in in_scope if w != v])
                 form = form + Affine.var(other, rng.choice((1, -1)))
         # Shift so the minimum touched location is >= 1.
-        lo, _ = _affine_range(form, ranges)
+        lo, _ = form.interval(ranges)
         if lo < 1:
             form = form + (1 - lo)
         return form
@@ -193,7 +179,7 @@ class _Gen:
         name = rng.choice(list(self.arrays))
         subs = tuple(self.gen_subscript(ranges) for _ in range(self.ranks[name]))
         for dim, sub in enumerate(subs):
-            _, hi = _affine_range(sub, ranges)
+            _, hi = sub.interval(ranges)
             self.arrays[name][dim] = max(self.arrays[name][dim], hi)
         return Ref(name, subs)
 

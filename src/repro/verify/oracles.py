@@ -293,10 +293,9 @@ def _tiling_trials(program: Program) -> list[Trial]:
     for index, item, chain in _top_chains(program):
         tiles: dict[str, int] = {}
         for loop in chain:
-            span = loop.ub - loop.lb
-            if loop.step != 1 or not span.is_constant():
+            if loop.step != 1:
                 continue
-            tile = _divisor(span.const + 1)
+            tile = _divisor(loop.constant_trip() or 0)
             if tile is not None:
                 tiles[loop.var] = tile
         if not tiles:
@@ -328,10 +327,9 @@ def _unroll_jam_trials(program: Program) -> list[Trial]:
     for index, item, chain in _top_chains(program):
         if len(chain) < 2 or not item.is_perfect_nest():
             continue
-        span = item.ub - item.lb
-        if item.step != 1 or not span.is_constant():
+        if item.step != 1:
             continue
-        factor = _divisor(span.const + 1)
+        factor = _divisor(item.constant_trip() or 0)
         if factor is None:
             continue
         try:

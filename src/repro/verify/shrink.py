@@ -94,10 +94,9 @@ def _candidates(program: Program) -> Iterator[Program]:
     for path, node in _paths(program):
         if not isinstance(node, Loop):
             continue
-        span = node.ub - node.lb
-        if not span.is_constant():
+        trip = node.constant_trip()
+        if trip is None:
             continue
-        trip = abs(span.const // node.step) + 1
         for new_trip in (1, 2, trip // 2):
             if not 1 <= new_trip < trip:
                 continue

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cache import CacheConfig, DEFAULT_TLB, Hierarchy, tlb_config
-from repro.cache.hierarchy import TLB_LEVEL_NAME, TLBConfig
+from repro.cache.hierarchy import TLB_LEVEL_NAME
 from repro.errors import TransformError
-from repro.exec import AccessCounter, compile_block_trace, run_program
+from repro.exec import compile_block_trace, run_program
 from repro.frontend import parse_program
 from repro.ir import iter_statements
 from repro.transforms import unroll_and_jam, unroll_and_jam_program
@@ -60,11 +60,6 @@ class TestHierarchy:
     def test_empty_hierarchy_rejected(self):
         with pytest.raises(ValueError):
             Hierarchy([])
-
-    def test_tlbconfig_alias_deprecated(self):
-        with pytest.deprecated_call():
-            config = TLBConfig(entries=4, page=4096)
-        assert config == tlb_config(entries=4, page=4096)
 
     def test_user_level_named_tlb_allowed(self):
         # The TLB result key is reserved; a data level called "tlb" is a
@@ -187,9 +182,9 @@ class TestUnrollAndJam:
         assert replaced.replaced >= 4  # B(K,J)..B(K,J+3) all invariant
 
         def count(program):
-            counter = AccessCounter()
-            compile_block_trace(program).run(counter)
-            return counter.total
+            sizes = []
+            compile_block_trace(program).run(lambda block: sizes.append(len(block)))
+            return sum(sizes)
 
         before = count(prog)
         after = count(replaced.program)

@@ -1,6 +1,7 @@
 """Tests for the ProgramBuilder DSL, IR nodes, and pretty printer."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.errors import IRError, NonAffineError
 from repro.ir import (
@@ -108,6 +109,28 @@ class TestLoopQueries:
         loop = Loop.make("I", 10, 1, [], step=-1)
         assert loop.trip_count({}) == 10
         assert list(loop.iter_values({})) == list(range(10, 0, -1))
+
+    @given(
+        st.integers(-6, 6),
+        st.integers(-6, 6),
+        st.sampled_from([-2, -1, 1, 2, 3]),
+        st.integers(-3, 3),
+    )
+    @example(lb=1, ub=8, step=-1, n=0)  # empty reversed range
+    @example(lb=3, ub=1, step=1, n=0)  # empty forward range
+    @example(lb=1, ub=8, step=2, n=0)  # step 2, ub never reached
+    @example(lb=8, ub=1, step=-1, n=0)
+    def test_constant_trip_matches_iteration(self, lb, ub, step, n):
+        # Constant span, symbolic bounds: DO I = N+lb, N+ub, step.
+        loop = Loop.make("I", Affine.var("N") + lb, Affine.var("N") + ub, [], step=step)
+        env = {"N": n}
+        assert loop.constant_trip() == len(loop.iter_values(env))
+        assert loop.constant_trip() == loop.trip_count(env)
+
+    def test_constant_trip_symbolic_span(self):
+        loop = Loop.make("I", 1, "N", [])
+        assert loop.constant_trip() is None
+        assert loop.constant_trip({"N": 10}) == 10
 
     def test_zero_step_rejected(self):
         with pytest.raises(IRError):

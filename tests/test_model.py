@@ -11,10 +11,11 @@ from fractions import Fraction
 import pytest
 
 from repro.frontend import parse_program
-from repro.model import CONSECUTIVE, INVARIANT, NONE, CostModel, CostPoly, trip_poly
+from repro.model import CONSECUTIVE, INVARIANT, NONE, CostModel, trip_poly
 from repro.ir import Loop, Ref
+from repro.ir.poly import Poly
 
-N = CostPoly.symbol("N")
+N = Poly.var("N")
 
 MATMUL = """
 PROGRAM matmul
@@ -72,7 +73,7 @@ class TestTripPoly:
 
     def test_rectangular_constant(self):
         loop = Loop.make("I", 1, 10, [])
-        assert trip_poly(loop, {"I": loop}) == CostPoly.constant(10)
+        assert trip_poly(loop, {"I": loop}) == Poly.constant(10)
 
     def test_negative_step(self):
         loop = Loop.make("I", "N", 1, [], step=-1)
@@ -80,7 +81,7 @@ class TestTripPoly:
 
     def test_strided(self):
         loop = Loop.make("I", 1, 100, [], step=2)
-        assert trip_poly(loop, {"I": loop}) == CostPoly.constant(50)
+        assert trip_poly(loop, {"I": loop}) == Poly.constant(50)
 
     def test_triangular_resolves_to_dominant(self):
         outer = Loop.make("K", 1, "N", [])
@@ -99,7 +100,7 @@ class TestTripPoly:
 
     def test_empty_constant_loop(self):
         loop = Loop.make("I", 5, 1, [])
-        assert trip_poly(loop, {"I": loop}) == CostPoly.constant(0)
+        assert trip_poly(loop, {"I": loop}) == Poly.constant(0)
 
 
 class TestRefCostKinds(object):

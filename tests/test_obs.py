@@ -3,12 +3,9 @@ remarks, pipeline instrumentation, and the JSONL round trip."""
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import parse_program
-from repro.exec import AccessBlock
-from repro.exec.trace import AccessCounter, StrideHistogram
 from repro.model import CostModel
 from repro.obs import (
     NULL_OBS,
@@ -359,54 +356,6 @@ END
         histogram = obs.metrics.histogram("model.refgroup.size")
         assert histogram.count > 0
         assert histogram.min >= 1
-
-
-def access_block(addresses, writes=None, sid=1) -> AccessBlock:
-    n = len(addresses)
-    return AccessBlock(
-        np.array(addresses, dtype=np.int64),
-        np.full(n, 8, dtype=np.int64),
-        np.array(writes if writes is not None else [False] * n, dtype=bool),
-        np.full(n, sid, dtype=np.int64),
-    )
-
-
-class TestTraceConsumers:
-    def test_access_counter_merge(self):
-        a, b = AccessCounter(), AccessCounter()
-        a.on_block(access_block([0, 8], writes=[False, True]))
-        b.on_block(access_block([16], sid=2))
-        assert a.merge(b) is a
-        assert (a.reads, a.writes, a.total) == (2, 1, 3)
-        assert a.per_sid[1] == 2 and a.per_sid[2] == 1
-
-    def test_stride_histogram_merge(self):
-        a, b = StrideHistogram(), StrideHistogram()
-        a.on_block(access_block([0, 8, 16]))
-        b.on_block(access_block([0, 8, 1024]))
-        a.merge(b)
-        assert a.deltas[8] == 3
-        assert a.deltas[1016] == 1
-
-    def test_to_metrics_feeds_registry(self):
-        metrics = MetricsRegistry()
-        counter = AccessCounter()
-        counter.on_block(access_block([0, 8], writes=[False, True]))
-        counter.to_metrics(metrics)
-        strides = StrideHistogram()
-        strides.on_block(access_block([0, 8, 16]))
-        strides.to_metrics(metrics)
-        assert metrics.counter("trace.reads").value == 1
-        assert metrics.counter("trace.writes").value == 1
-        assert metrics.histogram("trace.stride").buckets == {8: 2}
-
-    def test_to_metrics_defaults_to_active_obs(self):
-        obs = Obs()
-        counter = AccessCounter()
-        counter.on_block(access_block([0]))
-        with use_obs(obs):
-            counter.to_metrics()
-        assert obs.metrics.counter("trace.reads").value == 1
 
 
 class TestJsonlRoundTrip:
