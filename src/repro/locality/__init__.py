@@ -9,7 +9,8 @@ Three layers, cheapest last:
   reuse-distance histogram and FA-LRU / set-associative miss ratios
   from affine subscripts, bounds, and layout;
 * :mod:`repro.locality.polysum` — exact iteration counting by
-  polynomial summation, shared by the predictor.
+  polynomial summation, compiled once per chain shape and shared by the
+  predictor.
 
 See ``docs/locality.md`` for the formulas and exactness conditions.
 """

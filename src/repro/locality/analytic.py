@@ -226,6 +226,17 @@ def _collect_slots(
     return slots
 
 
+def carried_modes(slot: _Slot, carrier_index: int) -> dict[str, str]:
+    """Chain-count modes for reuse carried at ``carrier_index``: pairs of
+    carrier iterations, once over the non-varying levels inside it."""
+    chain = slot.chain
+    modes = {chain[carrier_index].var: "pairs"}
+    for loop in chain[carrier_index + 1 :]:
+        if loop.var not in slot.coeffs:
+            modes[loop.var] = "once"
+    return modes
+
+
 # ======================================================================
 # Trip counts and footprints
 # ======================================================================
@@ -315,9 +326,11 @@ class _NestModel:
     ) -> int | None:
         """Ground-truth iteration count by walking the concrete ranges.
 
-        Only used when polynomial summation declines a chain (step 2,
-        coupled bounds); bails out (None) past a fixed budget so suite-
-        sized nests never pay O(trips^depth).
+        Only used when polynomial summation declines a chain: a strided
+        loop whose trip stays symbolic (unroll-and-jam of ``DO I=1,N,2``),
+        or a range floor the compile step can neither prove nor clip.
+        Bails out (None) past a fixed budget so suite-sized nests never
+        pay O(trips^depth).
         """
         modes = modes or {}
         budget = self._ENUM_LIMIT
@@ -363,12 +376,8 @@ class _NestModel:
     def carried_count(self, slot: _Slot, carrier_index: int) -> int:
         """Accesses whose previous same-address access is carried by the
         chain level at ``carrier_index`` (a non-varying level)."""
-        modes: dict[str, str] = {}
         chain = slot.chain
-        modes[chain[carrier_index].var] = "pairs"
-        for loop in chain[carrier_index + 1 :]:
-            if loop.var not in slot.coeffs:
-                modes[loop.var] = "once"
+        modes = carried_modes(slot, carrier_index)
         try:
             return weighted_chain_count(chain, self.env, modes)
         except PolySumError:

@@ -2,8 +2,9 @@
 
 The cost model keeps three caches — the per-model ``nest_info`` identity
 cache, the structural ``loop_cost`` cache, and the module-level shared
-dependence cache — and the dependence layer memoizes ``analyze_ref_pair``
-results. A warm cache must never change an answer: for generated nests,
+dependence cache — the dependence layer memoizes ``analyze_ref_pair``
+results, and the locality predictor memoizes compiled chain counts by
+chain shape. A warm cache must never change an answer: for generated nests,
 results served by a model that has already seen the original tree (or a
 structurally identical rebuild, or a key-colliding mutant) must match a
 cold model computing from scratch.
@@ -18,8 +19,10 @@ from repro.seeds import seed_sequence
 from repro.dependence.tests import _PAIR_CACHE, analyze_ref_pair
 from repro.ir import Affine, Loop, Ref
 from repro.ir.nodes import Loop as LoopNode
+from repro.locality import predict_locality
 from repro.model import CostModel
 from repro.model.loopcost import _DEPS_CACHE
+from repro.model.memo import registered_caches
 from repro.verify.gennest import generate_program
 from repro.verify.runner import case_rng
 
@@ -95,6 +98,25 @@ class TestCostModelCaches:
         _orders(warm, program)
         mutated = _mutate_bound(program)
         assert _orders(warm, mutated) == _orders(CostModel(), mutated)
+
+
+class TestChainCountCache:
+    @pytest.mark.parametrize("case", seed_sequence(10, "chain-count-cache"))
+    def test_warm_prediction_matches_cold(self, case):
+        # Warm the chain-count cache on the original, then predict a
+        # rebuild and a wider mutant warm and again from an empty cache.
+        program = generate_program(case_rng(5, case), name=f"CC{case}")
+        cache = registered_caches()["locality.chain_count"]
+
+        def predict(variant):
+            p = predict_locality(variant, line=32)
+            return p.accesses, p.cold, sorted(p.predicted_histogram().items())
+
+        predict(program)
+        for variant in (program, copy.deepcopy(program), _mutate_bound(program)):
+            warm = predict(variant)
+            cache.clear()
+            assert predict(variant) == warm
 
 
 class TestPairCache:
