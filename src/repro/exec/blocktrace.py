@@ -1,19 +1,34 @@
 """Trace engine: compile loop nests to NumPy address blocks.
 
 Cache simulation only needs the *address stream*, not computed values, so
-this module compiles a program into Python code that walks only the
-*outer* loops in Python and turns each innermost loop into NumPy index
-arithmetic: every affine access stream becomes
+this module compiles a program into Python code that turns each *perfect
+loop chain* into NumPy index arithmetic. A chain is a loop whose body is
+a single loop, repeated, ending in a loop whose body is only assignments
+(an innermost loop alone is a chain of length 1). Its whole iteration
+space, in lexicographic order, becomes one ``(iterations, M)`` array of
+addresses, one column per access slot:
 
-    addresses[slot::M] = const_part + coeff * iota(lb, ub, step)
+    addresses[row, slot] = const_part + sum(coeff[level] * value[row, level])
 
-so a whole innermost-loop execution is emitted as one structured
-:class:`AccessBlock` (address/size/write/sid arrays) instead of ``M * trip``
-callbacks. Blocks are coalesced up to ``block_size`` entries before being
-handed to the consumer, and the event order inside the concatenated stream
-is exactly the interpreter's (reads before the write, left-to-right,
-statements in body order) — tested against the interpreter, which is the
-oracle for this engine.
+A rectangular level (bounds free of the chain's outer variables) pairs
+every row so far with every value of ``arange(lb, ub, step)``; a level
+whose bounds are affine in them (triangular, shifted) gives each row its
+own trip count, clamped at 0, and builds the values with ``cumsum`` and
+``repeat``. Raveling the array gives the slot-major stream, so a whole
+chain execution is one structured :class:`AccessBlock`
+(address/size/write/sid arrays) instead of ``M * trip`` callbacks.
+
+Memory is bounded per chain: slots times an upper bound on the chain's
+iterations (from :meth:`Affine.interval` over the value hulls of the
+enclosing loops) must stay within ``block_size // 4`` entries. A chain
+over that budget keeps its head as a Python ``for`` and the rest is tried
+again one level down; an innermost loop is always vectorized.
+
+Blocks are coalesced up to ``block_size`` entries before being handed to
+the consumer, and the event order inside the concatenated stream is
+exactly the interpreter's (iterations in loop order; within one, reads
+before the write, left-to-right, statements in body order) — tested
+against the interpreter, which is the oracle for this engine.
 
 Subscript bounds are NOT checked here; run the validating interpreter
 first if the program is untrusted.
@@ -117,7 +132,7 @@ class _BlockBuffer:
         return cached
 
     def vec(self, site_id: int, addresses: np.ndarray) -> None:
-        """One vectorized innermost-loop execution (slot-major interleave)."""
+        """One collapsed chain execution (slot-major interleave)."""
         n = addresses.shape[0]
         site = self._sites[site_id]
         reps = n // site.writes.shape[0]
@@ -205,27 +220,36 @@ def _compile_block_trace(
 ) -> CompiledBlockTrace:
     env = dict(program.param_env) | dict(params or {})
     layout = MemoryLayout.for_program(program, env)
-
-    out = io.StringIO()
-    sites: list[_Site] = []
+    # A quarter block per chain keeps coalesced blocks under 1.25 *
+    # block_size entries; a full block per chain raised perfbench
+    # simulate's peak RSS by 6 MB and saved no CPU.
+    emitter = _Emitter(env, layout, budget=block_size // 4)
+    out = emitter.out
     out.write("def __trace(__buf):\n")
     out.write("    __vec = __buf.vec\n")
     out.write("    __sca = __buf.scalar\n")
     out.write("    __count = 0\n")
     out.write("    __ops = 0\n")
+    # Parameters are single-valued ranges, so bound hulls fold them.
+    ranges = {name: (value, value) for name, value in env.items()}
     try:
         for node in program.body:
-            _emit(node, env, layout, out, depth=1, sites=sites)
+            emitter.emit(node, depth=1, ranges=ranges)
     except ExecutionError as exc:
         raise BlockTraceError(str(exc)) from exc
     out.write("    __buf.flush()\n")
     out.write("    return __count, __ops\n")
     source = out.getvalue()
 
-    namespace: dict = {"_np": np}
+    namespace: dict = {"_np": np, **emitter.consts}
     exec(compile(source, f"<blocktrace:{program.name}>", "exec"), namespace)
     return CompiledBlockTrace(
-        program.name, source, namespace["__trace"], layout, tuple(sites), block_size
+        program.name,
+        source,
+        namespace["__trace"],
+        layout,
+        tuple(emitter.sites),
+        block_size,
     )
 
 
@@ -241,20 +265,6 @@ def _slots(body: tuple[Assign, ...]) -> list[tuple]:
     return slots
 
 
-def _register_site(sites: list[_Site], slots: list[tuple], layout: MemoryLayout) -> int:
-    sites.append(
-        _Site(
-            writes=np.array([w for _, _, w in slots], dtype=bool),
-            sids=np.array([sid for _, sid, _ in slots], dtype=np.int64),
-            sizes=np.array(
-                [layout[ref.array].elem_size for ref, _, _ in slots],
-                dtype=np.int64,
-            ),
-        )
-    )
-    return len(sites) - 1
-
-
 def _static_ops(stmt: Assign) -> int:
     """Arithmetic operations per dynamic instance of the statement."""
 
@@ -265,16 +275,19 @@ def _static_ops(stmt: Assign) -> int:
     return count(stmt.rhs)
 
 
-def _affine_expr(form: Affine, env: Mapping[str, int]) -> str:
-    """Python source for ``form`` with the parameters in ``env`` folded."""
+def _affine_expr(
+    form: Affine, env: Mapping[str, int], columns: Mapping[str, str] | None = None
+) -> str:
+    """Python source for ``form`` with the parameters in ``env`` folded
+    and each name in ``columns`` read from the source it maps to."""
     form = form.partial_evaluate(env)
     unknown = [n for n, _ in form.terms if not n.isidentifier()]
     if unknown:
         raise ExecutionError(f"cannot compile names {unknown} in {form}")
+    columns = columns or {}
     parts = [str(form.const)]
     for name, coeff in form.terms:
-        if name in env:
-            continue  # already folded by partial_evaluate
+        name = columns.get(name, name)
         parts.append(f"{coeff}*{name}" if coeff != 1 else name)
     return " + ".join(parts)
 
@@ -288,99 +301,200 @@ def _address_affine(ref, env: Mapping[str, int], layout: MemoryLayout) -> Affine
     return addr
 
 
-def _range_args(node: Loop, env: Mapping[str, int]) -> tuple[str, str]:
-    lb = _affine_expr(node.lb, env)
-    ub = _affine_expr(node.ub, env)
-    stop = f"({ub}) + 1" if node.step > 0 else f"({ub}) - 1"
-    return lb, stop
+def _perfect_chain(node: Loop) -> tuple[Loop, ...] | None:
+    """``node`` and the loops below it while each body is a single loop,
+    when the last body is only Assigns (None otherwise)."""
+    chain = [node]
+    while len(chain[-1].body) == 1 and isinstance(chain[-1].body[0], Loop):
+        chain.append(chain[-1].body[0])
+    body = chain[-1].body
+    if body and all(isinstance(child, Assign) for child in body):
+        return tuple(chain)
+    return None
 
 
-def _emit(
-    node: "Loop | Assign",
-    env: Mapping[str, int],
-    layout: MemoryLayout,
-    out: io.StringIO,
-    depth: int,
-    sites: list[_Site],
-) -> None:
-    pad = "    " * depth
-    if isinstance(node, Assign):
-        _emit_scalar_stmt(node, env, layout, out, pad, sites)
-        return
-    if all(isinstance(child, Assign) for child in node.body) and node.body:
-        _emit_vector_loop(node, env, layout, out, pad, sites)
-        return
-    lb, stop = _range_args(node, env)
-    out.write(f"{pad}for {node.var} in range({lb}, {stop}, {node.step}):\n")
-    if not node.body:
-        out.write(f"{pad}    pass\n")
-    for child in node.body:
-        _emit(child, env, layout, out, depth + 1, sites)
+class _Emitter:
+    """Writes the body of one trace function.
 
+    ``sites`` collects the slot patterns the buffer tiles, ``consts`` the
+    coefficient vectors the generated code reads by name, and ``budget``
+    caps the entries one execution of a collapsed chain may produce.
+    """
 
-def _emit_scalar_stmt(
-    stmt: Assign,
-    env: Mapping[str, int],
-    layout: MemoryLayout,
-    out: io.StringIO,
-    pad: str,
-    sites: list[_Site],
-) -> None:
-    slots = _slots((stmt,))
-    if slots:
-        site_id = _register_site(sites, slots, layout)
-        exprs = ", ".join(
-            _affine_expr(_address_affine(ref, env, layout), env)
-            for ref, _, _ in slots
-        )
-        comma = "," if len(slots) == 1 else ""
-        out.write(f"{pad}__sca({site_id}, ({exprs}{comma}))\n")
-    out.write(f"{pad}__count += 1\n")
-    out.write(f"{pad}__ops += {_static_ops(stmt) + 1}\n")
+    def __init__(self, env: Mapping[str, int], layout: MemoryLayout, budget: int):
+        self.env = env
+        self.layout = layout
+        self.budget = budget
+        self.out = io.StringIO()
+        self.sites: list[_Site] = []
+        self.consts: dict[str, np.ndarray] = {}
 
+    def emit(
+        self, node: "Loop | Assign", depth: int, ranges: Mapping[str, tuple[int, int]]
+    ) -> None:
+        """``node`` at indent ``depth``; ``ranges`` holds a value hull for
+        every parameter and enclosing loop variable."""
+        pad = "    " * depth
+        if isinstance(node, Assign):
+            self._scalar_stmt(node, pad)
+            return
+        chain = _perfect_chain(node)
+        if chain is not None:
+            slots = _slots(chain[-1].body)
+            if len(chain) == 1 or self._fits(chain, len(slots), ranges):
+                self._chain(chain, slots, pad)
+                return
+        lb, stop = self._range_args(node)
+        self.out.write(f"{pad}for {node.var} in range({lb}, {stop}, {node.step}):\n")
+        if not node.body:
+            self.out.write(f"{pad}    pass\n")
+        inner = dict(ranges)
+        try:
+            inner[node.var] = node.bound_hull(ranges)[0]
+        except KeyError:
+            pass  # no hull: no chain whose bounds read it collapses
+        for child in node.body:
+            self.emit(child, depth + 1, inner)
 
-def _emit_vector_loop(
-    node: Loop,
-    env: Mapping[str, int],
-    layout: MemoryLayout,
-    out: io.StringIO,
-    pad: str,
-    sites: list[_Site],
-) -> None:
-    """An innermost loop (body is all Assigns): one NumPy block per run."""
-    slots = _slots(node.body)
-    m = len(slots)
-    lb, stop = _range_args(node, env)
-    ops_per_iter = sum(_static_ops(stmt) + 1 for stmt in node.body)
-    inner = pad + "    "
-    if m == 0:
-        # No memory traffic: only the instance/operation counters advance.
-        out.write(f"{pad}__n = len(range({lb}, {stop}, {node.step}))\n")
-        out.write(f"{pad}__count += __n * {len(node.body)}\n")
-        out.write(f"{pad}__ops += __n * {ops_per_iter}\n")
-        return
-    site_id = _register_site(sites, slots, layout)
-    out.write(
-        f"{pad}__iv = _np.arange({lb}, {stop}, {node.step}, dtype=_np.int64)\n"
-    )
-    out.write(f"{pad}__n = __iv.shape[0]\n")
-    out.write(f"{pad}if __n:\n")
-    out.write(f"{inner}__count += __n * {len(node.body)}\n")
-    out.write(f"{inner}__ops += __n * {ops_per_iter}\n")
-    out.write(f"{inner}__a = _np.empty({m} * __n, dtype=_np.int64)\n")
-    for slot, (ref, _, _) in enumerate(slots):
-        addr = _address_affine(ref, env, layout)
-        coeff = addr.coeff(node.var)
-        const_src = _affine_expr(addr.substitute(node.var, 0), env)
-        if coeff == 0:
-            out.write(f"{inner}__a[{slot}::{m}] = {const_src}\n")
-        elif coeff == 1:
-            out.write(f"{inner}__a[{slot}::{m}] = ({const_src}) + __iv\n")
-        else:
-            out.write(
-                f"{inner}__a[{slot}::{m}] = ({const_src}) + {coeff} * __iv\n"
+    def _fits(
+        self, chain: tuple[Loop, ...], entries: int, ranges: Mapping[str, tuple[int, int]]
+    ) -> bool:
+        """Whether the chain has access slots and ``entries`` (the slots)
+        × an upper bound on its iterations stays within the budget."""
+        if not entries:
+            return False
+        ranges = dict(ranges)
+        try:
+            for loop in chain:
+                ranges[loop.var], trip = loop.bound_hull(ranges)
+                entries *= trip
+        except KeyError:
+            return False
+        return entries <= self.budget
+
+    def _range_args(self, node: Loop) -> tuple[str, str]:
+        lb = _affine_expr(node.lb, self.env)
+        ub = _affine_expr(node.ub, self.env)
+        stop = f"({ub}) + 1" if node.step > 0 else f"({ub}) - 1"
+        return lb, stop
+
+    def _register_site(self, slots: list[tuple]) -> int:
+        self.sites.append(
+            _Site(
+                writes=np.array([w for _, _, w in slots], dtype=bool),
+                sids=np.array([sid for _, sid, _ in slots], dtype=np.int64),
+                sizes=np.array(
+                    [self.layout[ref.array].elem_size for ref, _, _ in slots],
+                    dtype=np.int64,
+                ),
             )
-    out.write(f"{inner}__vec({site_id}, __a)\n")
+        )
+        return len(self.sites) - 1
+
+    def _const(self, values: list[int]) -> str:
+        name = f"__c{len(self.consts)}"
+        self.consts[name] = np.array(values, dtype=np.int64)
+        return name
+
+    def _scalar_stmt(self, stmt: Assign, pad: str) -> None:
+        slots = _slots((stmt,))
+        if slots:
+            site_id = self._register_site(slots)
+            exprs = ", ".join(
+                _affine_expr(_address_affine(ref, self.env, self.layout), self.env)
+                for ref, _, _ in slots
+            )
+            comma = "," if len(slots) == 1 else ""
+            self.out.write(f"{pad}__sca({site_id}, ({exprs}{comma}))\n")
+        self.out.write(f"{pad}__count += 1\n")
+        self.out.write(f"{pad}__ops += {_static_ops(stmt) + 1}\n")
+
+    def _chain(self, chain: tuple[Loop, ...], slots: list[tuple], pad: str) -> None:
+        """A perfect loop chain (length 1: an innermost loop) as one NumPy
+        block per entry.
+
+        ``__P`` has one row per iteration of the chain, in lexicographic
+        order, and one column per access slot, then one per collapsed
+        variable that a later level's bounds read. Each level widens it:
+        a rectangular level (bounds free of the collapsed variables) pairs
+        every row with every value of an ``arange``; a ragged one gives
+        each row its own clamped count and builds the values with the
+        cumsum/repeat idiom. ``__P.ravel()`` is then the slot-major stream.
+        """
+        out = self.out
+        body = chain[-1].body
+        ops_per_iter = sum(_static_ops(stmt) + 1 for stmt in body)
+        if not slots:
+            # No memory traffic: only the instance/operation counters advance.
+            lb, stop = self._range_args(chain[-1])
+            out.write(f"{pad}__n = len(range({lb}, {stop}, {chain[-1].step}))\n")
+            out.write(f"{pad}__count += __n * {len(body)}\n")
+            out.write(f"{pad}__ops += __n * {ops_per_iter}\n")
+            return
+        site_id = self._register_site(slots)
+        collapsed = [loop.var for loop in chain]
+        ragged = [
+            loop.lb.depends_on(collapsed[:depth]) or loop.ub.depends_on(collapsed[:depth])
+            for depth, loop in enumerate(chain)
+        ]
+        carried = [
+            var
+            for i, var in enumerate(collapsed)
+            if any(
+                loop.lb.depends_on((var,)) or loop.ub.depends_on((var,))
+                for loop in chain[i + 1 :]
+            )
+        ]
+        forms = [_address_affine(ref, self.env, self.layout) for ref, _, _ in slots]
+        forms += [Affine.var(var) for var in carried]
+        width = len(forms)
+        columns = {var: f"__P[:, {len(slots) + i}]" for i, var in enumerate(carried)}
+        base = [
+            Affine.build({n: c for n, c in form.terms if n not in collapsed}, form.const)
+            for form in forms
+        ]
+        if all(form.is_constant() for form in base):
+            base_src = self._const([form.const for form in base])
+        else:
+            exprs = ", ".join(_affine_expr(form, self.env) for form in base)
+            base_src = f"_np.array(({exprs},), dtype=_np.int64)"
+
+        out.write(f"{pad}# collapsed {', '.join(collapsed)}\n")
+        for depth, loop in enumerate(chain):
+            var, step = loop.var, loop.step
+            coeffs = [form.coeff(var) for form in forms]
+            scaled = f"{var}[:, None] * {self._const(coeffs)}" if any(coeffs) else None
+            if not ragged[depth]:
+                lb, stop = self._range_args(loop)
+                out.write(f"{pad}{var} = _np.arange({lb}, {stop}, {step}, dtype=_np.int64)\n")
+                if depth == 0 and scaled:
+                    rows = f"{base_src} + {scaled}"
+                elif depth == 0:
+                    rows = f"_np.repeat({base_src}[None, :], {var}.shape[0], axis=0)"
+                elif scaled:
+                    rows = f"(__P[:, None, :] + {scaled}).reshape(-1, {width})"
+                else:
+                    rows = f"_np.repeat(__P, {var}.shape[0], axis=0)"
+            else:
+                lo = _affine_expr(loop.lb, self.env, columns)
+                hi = _affine_expr(loop.ub, self.env, columns)
+                trips = f"{hi} - __lo + 1" if step == 1 else f"({hi} - __lo + {step}) // {step}"
+                times = "" if step == 1 else f"{step} * "
+                out.write(f"{pad}__lo = {lo}\n")
+                out.write(f"{pad}__t = _np.maximum({trips}, 0)\n")
+                out.write(
+                    f"{pad}{var} = _np.repeat(__lo - {times}(_np.cumsum(__t) - __t), __t)"
+                    f" + {times}_np.arange(__t.sum(), dtype=_np.int64)\n"
+                )
+                rows = "_np.repeat(__P, __t, axis=0)" + (f" + {scaled}" if scaled else "")
+            out.write(f"{pad}__P = {rows}\n")
+        stream = "__P.ravel()" if width == len(slots) else f"__P[:, :{len(slots)}].ravel()"
+        inner = pad + "    "
+        out.write(f"{pad}__n = __P.shape[0]\n")
+        out.write(f"{pad}if __n:\n")
+        out.write(f"{inner}__count += __n * {len(body)}\n")
+        out.write(f"{inner}__ops += __n * {ops_per_iter}\n")
+        out.write(f"{inner}__vec({site_id}, {stream})\n")
 
 
 def block_events(

@@ -129,6 +129,21 @@ class Loop:
             span = span.partial_evaluate(env)
         return _trip(span.const, self.step) if span.is_constant() else None
 
+    def bound_hull(
+        self, ranges: Mapping[str, tuple[int, int]]
+    ) -> tuple[tuple[int, int], int]:
+        """``((lo, hi), trip)`` when each name in the bounds ranges over
+        ``ranges`` (:meth:`Affine.interval`): a hull of the values the
+        loop variable takes and an upper bound on its trip count.
+
+        Raises:
+            KeyError: a bound names something without a range.
+        """
+        l_lo, l_hi = self.lb.interval(ranges)
+        u_lo, u_hi = self.ub.interval(ranges)
+        span = u_hi - l_lo if self.step > 0 else u_lo - l_hi
+        return (min(l_lo, u_lo), max(l_hi, u_hi)), _trip(span, self.step)
+
     def iter_values(self, env: Mapping[str, int]) -> range:
         """The concrete iteration range under ``env``."""
         lb = self.lb.evaluate(env)

@@ -7,6 +7,7 @@ interpreter) at every layer: raw cache state, hierarchy cascades, trace
 streams, experiment hit rates, and the sharded experiment runner.
 """
 
+import random
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.model import CostModel
 from repro.suite import get_set, suite_entries
 from repro.suite.registry import DEFAULT_INSTANCES
 from repro.transforms import compound
+from repro.verify.gennest import generate_program
 
 
 def geometry(assoc: int, sets: int, line: int = 16) -> CacheConfig:
@@ -172,11 +174,14 @@ class TestBlockTraceStream:
             END
             """
         )
-        blocks: list[AccessBlock] = []
-        trace = compile_block_trace(program, block_size=256)
-        trace.run(blocks.append)
-        assert sum(len(b) for b in blocks) == 2 * 64 * 64
-        assert all(len(b) >= 256 for b in blocks[:-1])
+        for block_size in (256, 1000, 4096):
+            blocks: list[AccessBlock] = []
+            trace = compile_block_trace(program, block_size=block_size)
+            trace.run(blocks.append)
+            assert sum(len(b) for b in blocks) == 2 * 64 * 64
+            assert all(len(b) >= block_size for b in blocks[:-1])
+            # A collapsed chain adds at most block_size // 4 entries.
+            assert all(len(b) < block_size + block_size // 4 for b in blocks)
 
     def test_counters_match_event_engine(self):
         # Statement instances and operations equal the interpreter's.
@@ -189,6 +194,213 @@ class TestBlockTraceStream:
                 interp.statements_executed,
                 interp.operations_executed,
             ), entry.name
+
+
+# ----------------------------------------------------------------------
+# Collapsed loop chains: stream and counters equal the interpreter's
+# ----------------------------------------------------------------------
+def assert_matches_interpreter(program, params=None, block_size=None):
+    """Events and (count, ops) of the block trace equal the interpreter's;
+    returns the compiled trace so callers can inspect its source."""
+    recorded = []
+    interp = Interpreter(
+        program,
+        params,
+        on_access=lambda e: recorded.append((e.address, e.size, e.write, e.sid)),
+    )
+    interp.run()
+    expected = (interp.statements_executed, interp.operations_executed)
+    assert block_events(program, params) == recorded
+    kwargs = {} if block_size is None else {"block_size": block_size}
+    trace = compile_block_trace(program, params, **kwargs)
+    events: list = []
+    assert trace.run(lambda block: events.extend(block.events())) == expected
+    assert events == recorded
+    return trace
+
+
+def nest(body: str, params: str = "PARAMETER N = 7") -> str:
+    return f"""
+    PROGRAM p
+    {params}
+    REAL A(40,40), B(40,40)
+    {body}
+    END
+    """
+
+
+class TestCollapsedChains:
+    def test_triangular_bounds_on_both_ends(self):
+        program = parse_program(
+            nest(
+                """
+                DO I = 1, N
+                  DO J = I, 2*I - 1
+                    DO K = J - I + 1, J
+                      A(J,K) = A(J,K) + B(K,I)
+                    ENDDO
+                  ENDDO
+                ENDDO
+                """
+            )
+        )
+        trace = assert_matches_interpreter(program)
+        assert "# collapsed I, J, K" in trace.source
+
+    def test_over_empty_inner_range(self):
+        program = parse_program(
+            nest(
+                """
+                DO I = 1, N
+                  DO J = I + 2, N
+                    A(I,J) = A(I,J) + B(J,I)
+                  ENDDO
+                ENDDO
+                """,
+                params="PARAMETER N = 4",
+            )
+        )
+        for n in range(5):
+            trace = assert_matches_interpreter(program, {"N": n})
+            assert "# collapsed I, J" in trace.source
+
+    def test_negative_steps(self):
+        inner = nest(
+            """
+            DO I = 1, N
+              DO J = N, I, -1
+                A(I,J) = B(J,I) + 1.0
+              ENDDO
+            ENDDO
+            """
+        )
+        outer = nest(
+            """
+            DO I = N, 1, -1
+              DO J = I, N
+                DO K = N, J, -2
+                  A(J,K) = A(J,K) + B(I,K)
+                ENDDO
+              ENDDO
+            ENDDO
+            """
+        )
+        for source in (inner, outer):
+            trace = assert_matches_interpreter(parse_program(source))
+            assert "for " not in trace.source
+
+    def test_non_unit_steps(self):
+        program = parse_program(
+            nest(
+                """
+                DO I = 1, N, 2
+                  DO J = I, N, 3
+                    DO K = 2, N, 2
+                      A(J,K) = A(I,K) + B(K,J)
+                    ENDDO
+                  ENDDO
+                ENDDO
+                """
+            )
+        )
+        trace = assert_matches_interpreter(program)
+        assert "# collapsed I, J, K" in trace.source
+
+    def test_bound_from_enclosing_python_loop(self):
+        # The statement before the chain keeps K a Python loop; the
+        # chain's bounds read K as a scalar and its hull sizes the budget.
+        program = parse_program(
+            nest(
+                """
+                DO K = 1, N
+                  B(K,K) = 0.0
+                  DO I = 1, K
+                    DO J = I, K + 1
+                      A(I,J) = A(I,J) + B(J,K)
+                    ENDDO
+                  ENDDO
+                ENDDO
+                """
+            )
+        )
+        trace = assert_matches_interpreter(program)
+        assert "for K in range" in trace.source
+        assert "# collapsed I, J" in trace.source
+
+    def test_chain_over_budget_falls_back_level_by_level(self):
+        program = parse_program(
+            nest(
+                """
+                DO I = 1, N
+                  DO J = 1, N
+                    DO K = 1, N
+                      A(J,K) = A(J,K) + B(I,K)
+                    ENDDO
+                  ENDDO
+                ENDDO
+                """,
+                params="PARAMETER N = 6",
+            )
+        )
+        # 3 slots: K alone is 18 entries, J and K 108, the whole chain 648.
+        expected = {
+            4 * 648: ("# collapsed I, J, K",),
+            4 * 647: ("for I in", "# collapsed J, K"),
+            4 * 108: ("for I in", "# collapsed J, K"),
+            4 * 107: ("for I in", "for J in", "# collapsed K"),
+            4: ("for I in", "for J in", "# collapsed K"),
+        }
+        for block_size, lines in expected.items():
+            trace = assert_matches_interpreter(program, block_size=block_size)
+            for line in lines:
+                assert line in trace.source, (block_size, line)
+
+    def test_inner_body_without_access_slots(self):
+        program = parse_program(
+            nest(
+                """
+                DO I = 1, N
+                  DO J = I, N
+                    S = S + 2.0
+                  ENDDO
+                ENDDO
+                A(1,1) = S
+                """
+            )
+        )
+        trace = assert_matches_interpreter(program)
+        assert "for I in range" in trace.source
+        assert "__n = len(range(" in trace.source
+
+    def test_imperfect_nest(self):
+        program = parse_program(
+            nest(
+                """
+                DO I = 1, N
+                  DO J = 1, I
+                    A(I,J) = B(J,I)
+                  ENDDO
+                  DO K = I, N
+                    DO L = 1, K
+                      B(K,L) = A(L,I) + B(K,L)
+                    ENDDO
+                  ENDDO
+                ENDDO
+                """
+            )
+        )
+        trace = assert_matches_interpreter(program)
+        assert "for I in range" in trace.source
+        assert "# collapsed J\n" in trace.source
+        assert "# collapsed K, L\n" in trace.source
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=300)
+    def test_generated_nests_match_interpreter(self, seed):
+        program = generate_program(random.Random(seed))
+        assert_matches_interpreter(program)
+        # A tiny budget keeps most chains in Python; still identical.
+        assert_matches_interpreter(program, block_size=16)
 
 
 # ----------------------------------------------------------------------

@@ -55,5 +55,11 @@ class TestTraceEquivalence:
 
     def test_source_is_readable(self):
         trace = compile_block_trace(matmul(4, "JKI"))
-        assert "for J in range(1, (4) + 1, 1):" in trace.source
+        assert "# collapsed J, K, I" in trace.source
         assert "__vec(" in trace.source
+        # 4 slots x 64 iterations is over a 64-entry block's budget (16):
+        # the outer loops stay Python ``for``s and only I collapses.
+        small = compile_block_trace(matmul(4, "JKI"), block_size=64)
+        assert "for J in range(1, (4) + 1, 1):" in small.source
+        assert "for K in range(1, (4) + 1, 1):" in small.source
+        assert "# collapsed I" in small.source
