@@ -17,7 +17,7 @@ Run:  python examples/full_framework.py
 
 from repro import CostModel, compound, parse_program, pretty_program
 from repro.cache import CacheConfig, Hierarchy, tlb_config
-from repro.exec import compile_block_trace
+from repro.exec import run_trace
 from repro.transforms import scalar_replace_program, tile_nest
 
 N = 64
@@ -29,14 +29,13 @@ TLB_PENALTY = 30
 
 def measure(program):
     hierarchy = Hierarchy([L1, L2], tlb=tlb_config(entries=16, page=4096))
-    trace = compile_block_trace(program)
     count = [0]
 
     def on_block(block):
         count[0] += len(block)
         hierarchy.access_block(block.addresses, block.sizes)
 
-    _, ops = trace.run(on_block)
+    ops = run_trace(program, on_block)
     result = hierarchy.result
     cycles = ops + count[0] + result.memory_cycles(PENALTIES, TLB_PENALTY)
     return cycles, result, count[0]

@@ -282,11 +282,11 @@ def per_ref_profile(
     line: int = 128,
     params: Mapping[str, int] | None = None,
 ) -> ReuseDistanceAnalyzer:
-    """Run the block trace through the analyzer with per-slot profiles."""
-    from repro.exec.blocktrace import compile_block_trace
+    """Run the trace through the analyzer with per-slot profiles."""
+    from repro.exec.blocktrace import run_trace
 
     analyzer = ReuseDistanceAnalyzer(line, program)
-    compile_block_trace(program, params).run(analyzer)
+    run_trace(program, analyzer.on_block, params)
     return analyzer
 
 
@@ -296,12 +296,12 @@ def reuse_profile(
     params: Mapping[str, int] | None = None,
     max_accesses: int | None = None,
 ) -> ReuseProfile:
-    """Reuse-distance profile of a program's block trace.
+    """Reuse-distance profile of a program's trace.
 
     ``max_accesses``, when set, raises ``ReproError`` for longer traces.
     """
-    from repro.exec.blocktrace import compile_block_trace
+    from repro.exec.blocktrace import run_trace
 
     analyzer = ReuseDistanceAnalyzer(line, max_accesses=max_accesses)
-    compile_block_trace(program, params).run(analyzer)
+    run_trace(program, analyzer.on_block, params)
     return analyzer.profile

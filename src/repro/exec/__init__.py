@@ -7,8 +7,8 @@ from repro.exec.blocktrace import (
     AccessBlock,
     BlockTraceError,
     CompiledBlockTrace,
-    block_events,
     compile_block_trace,
+    run_trace,
 )
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "AccessEvent",
     "BlockTraceError",
     "CompiledBlockTrace",
-    "block_events",
     "compile_block_trace",
     "ArrayLayout",
     "Interpreter",
@@ -25,5 +24,6 @@ __all__ = [
     "PerfResult",
     "default_init",
     "run_program",
+    "run_trace",
     "simulate",
 ]

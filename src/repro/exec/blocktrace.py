@@ -30,6 +30,10 @@ exactly the interpreter's (iterations in loop order; within one, reads
 before the write, left-to-right, statements in body order) — tested
 against the interpreter, which is the oracle for this engine.
 
+Consumers call :func:`run_trace`, the one place an engine is chosen: the
+block trace, or the interpreter when asked for or when the compiler
+rejects the program. Either way they receive blocks.
+
 Subscript bounds are NOT checked here; run the validating interpreter
 first if the program is untrusted.
 """
@@ -46,14 +50,16 @@ from repro.errors import ExecutionError
 from repro.ir.affine import Affine
 from repro.ir.expr import Bin, Call
 from repro.ir.nodes import Assign, Loop, Program
+from repro.exec.interp import AccessEvent, Interpreter
 from repro.exec.layout import MemoryLayout
+from repro.obs import get_obs
 
 __all__ = [
     "AccessBlock",
     "BlockTraceError",
     "CompiledBlockTrace",
-    "block_events",
     "compile_block_trace",
+    "run_trace",
 ]
 
 #: Entries accumulated before a coalesced block is emitted.
@@ -185,15 +191,7 @@ class CompiledBlockTrace:
 
     def run(self, on_block: BlockFn) -> tuple[int, int]:
         """Execute the trace; returns (statement instances, operations)."""
-        buffer = _BlockBuffer(self._on_block_adapter(on_block), self._sites, self.block_size)
-        return self._fn(buffer)
-
-    @staticmethod
-    def _on_block_adapter(on_block) -> BlockFn:
-        """Accept either a callable or an object with ``on_block``."""
-        if callable(on_block):
-            return on_block
-        return on_block.on_block
+        return self._fn(_BlockBuffer(on_block, self._sites, self.block_size))
 
 
 def compile_block_trace(
@@ -207,10 +205,62 @@ def compile_block_trace(
         BlockTraceError: when an access or bound cannot be reduced to the
             affine arithmetic the engine generates.
     """
-    from repro.obs import get_obs
-
     with get_obs().span("exec.blocktrace.compile", program=program.name):
         return _compile_block_trace(program, params, block_size)
+
+
+def run_trace(
+    program: Program,
+    on_block: BlockFn,
+    params: Mapping[str, int] | None = None,
+    init=None,
+    compiled: bool = True,
+) -> int:
+    """Feed ``program``'s address trace to ``on_block``; returns the
+    operation count.
+
+    The one place the engine is chosen: the block trace, or the
+    validating interpreter (computing real values from ``init``) when
+    ``compiled=False`` or when the block compiler rejects the program.
+    Both give the same stream, in blocks either way.
+    """
+    obs = get_obs()
+    if compiled:
+        try:
+            # A module global looked up per call, so wrappers apply.
+            trace = compile_block_trace(program, params)
+        except BlockTraceError:
+            if obs.enabled:
+                obs.metrics.counter("trace.block.fallback").inc()
+        else:
+            _, operations = trace.run(on_block)
+            if obs.enabled:
+                obs.metrics.counter("trace.engine.block").inc()
+            return operations
+
+    events: list[AccessEvent] = []
+
+    def flush() -> None:
+        on_block(
+            AccessBlock(
+                np.array([e.address for e in events], dtype=np.int64),
+                np.array([e.size for e in events], dtype=np.int64),
+                np.array([e.write for e in events], dtype=bool),
+                np.array([e.sid for e in events], dtype=np.int64),
+            )
+        )
+        events.clear()
+
+    def on_access(event: AccessEvent) -> None:
+        events.append(event)
+        if len(events) >= DEFAULT_BLOCK_SIZE:
+            flush()
+
+    interp = Interpreter(program, params, on_access=on_access, init=init)
+    interp.run()
+    if events:
+        flush()
+    return interp.operations_executed
 
 
 def _compile_block_trace(
@@ -495,18 +545,3 @@ class _Emitter:
         out.write(f"{inner}__count += __n * {len(body)}\n")
         out.write(f"{inner}__ops += __n * {ops_per_iter}\n")
         out.write(f"{inner}__vec({site_id}, {stream})\n")
-
-
-def block_events(
-    program: Program, params: Mapping[str, int] | None = None
-) -> list[tuple[int, int, bool, int]]:
-    """Run the batched engine, flattening blocks back to event tuples.
-
-    Only useful for equivalence testing and debugging — it reintroduces
-    the per-event cost the engine exists to avoid.
-    """
-    events: list[tuple[int, int, bool, int]] = []
-    compile_block_trace(program, params).run(
-        lambda block: events.extend(block.events())
-    )
-    return events

@@ -18,7 +18,7 @@ from typing import Mapping
 from repro.cache.cache import CacheConfig, CacheStats, SetAssocCache
 from repro.cache.configs import CACHE1
 from repro.ir.nodes import Program
-from repro.exec.interp import Interpreter
+from repro.exec.blocktrace import run_trace
 from repro.obs import get_obs
 
 __all__ = ["Machine", "PerfResult", "simulate"]
@@ -63,45 +63,22 @@ def simulate(
 ) -> PerfResult:
     """Run ``program`` against a machine model; returns timing + stats.
 
-    The block trace engine (:mod:`repro.exec.blocktrace`) drives the cache:
-    the exact address stream, no value computation. The validating
-    interpreter runs the real arithmetic instead when ``init`` is given,
-    when ``compiled=False`` is passed, or when the block compiler rejects
-    the program. Both produce the same statistics.
+    :func:`repro.exec.blocktrace.run_trace` feeds the cache the exact
+    address stream: the block trace, or the validating interpreter (real
+    arithmetic from ``init``) when ``compiled=False`` is passed or the
+    block compiler rejects the program. Both give the same statistics.
     """
     machine = machine or Machine()
     obs = get_obs()
     cache = SetAssocCache(machine.cache)
 
+    def on_block(block) -> None:
+        cache.access_block(block.addresses, block.sizes)
+
     with obs.span(
         "exec.simulate", program=program.name, machine=machine.name
     ):
-        trace = None
-        if compiled and init is None:
-            from repro.exec.blocktrace import (
-                BlockTraceError,
-                compile_block_trace,
-            )
-
-            try:
-                trace = compile_block_trace(program, params)
-            except BlockTraceError:
-                if obs.enabled:
-                    obs.metrics.counter("trace.block.fallback").inc()
-        if trace is not None:
-            def on_block(block) -> None:
-                cache.access_block(block.addresses, block.sizes)
-
-            _, operations = trace.run(on_block)
-            if obs.enabled:
-                obs.metrics.counter("trace.engine.block").inc()
-        else:
-            def on_access(event) -> None:
-                cache.access(event.address, event.size, event.write)
-
-            interp = Interpreter(program, params, on_access=on_access, init=init)
-            interp.run()
-            operations = interp.operations_executed
+        operations = run_trace(program, on_block, params, init, compiled)
 
     stats = cache.stats
     if obs.enabled:

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.cache import CACHE1, CACHE2, CacheConfig, SetAssocCache
 from repro.errors import TransformError
-from repro.exec import Interpreter, Machine, PerfResult, simulate
+from repro.exec import Machine, PerfResult, run_trace, simulate
 from repro.ir.nodes import Loop, Program
 from repro.ir.visit import enclosing_loops, iter_statements
 from repro.model import CostModel
@@ -82,11 +82,11 @@ def dual_hit_rates(
     Both rates come from a single execution: the whole-program cache sees
     every access; the focus counters sample the same cache's behaviour on
     accesses issued by the focus statements — the paper's "optimized
-    procedures" columns. Addresses do not depend on values, so the block
-    trace drives the cache regardless of ``init``; the interpreter (with
-    ``init``) runs only when the block compiler rejects the program.
+    procedures" columns. :func:`repro.exec.run_trace` picks the engine:
+    addresses do not depend on values, so the block trace drives the
+    cache regardless of ``init``; the interpreter (with ``init``) runs
+    only when the block compiler rejects the program.
     """
-    obs = get_obs()
     cache = SetAssocCache(config)
     focus_total = 0
     focus_hits = 0
@@ -102,33 +102,10 @@ def dual_hit_rates(
         focus_hits += int(np.count_nonzero(result.hits[mask]))
         focus_cold += int(result.cold[mask].sum())
 
-    def on_access(event) -> None:
-        nonlocal focus_total, focus_hits, focus_cold
-        before_cold = cache.stats.cold_misses
-        hit = cache.access(event.address, event.size, event.write)
-        if event.sid in focus_sids:
-            focus_total += 1
-            if hit:
-                focus_hits += 1
-            focus_cold += cache.stats.cold_misses - before_cold
-
-    from repro.exec.blocktrace import BlockTraceError, compile_block_trace
-
-    with obs.span(
+    with get_obs().span(
         "experiment.hit_rates", program=program.name, cache=config.name
     ):
-        try:
-            block_trace = compile_block_trace(program)
-        except BlockTraceError:
-            block_trace = None
-            if obs.enabled:
-                obs.metrics.counter("trace.block.fallback").inc()
-        if block_trace is not None:
-            block_trace.run(on_block)
-            if obs.enabled:
-                obs.metrics.counter("trace.engine.block").inc()
-        else:
-            Interpreter(program, on_access=on_access, init=init).run()
+        run_trace(program, on_block, init=init)
     whole = cache.stats.hit_rate()
     denominator = focus_total - focus_cold
     focus = focus_hits / denominator if denominator > 0 else 1.0

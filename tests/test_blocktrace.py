@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from repro.cache import CACHE2, CacheConfig, Hierarchy, SetAssocCache
 from repro.exec import (
     Interpreter,
-    block_events,
     compile_block_trace,
     run_program,
     simulate,
@@ -24,7 +23,13 @@ from repro.exec import (
 from repro.exec import blocktrace
 from repro.exec.blocktrace import AccessBlock, BlockTraceError
 from repro.experiments import table3_perf, table4_hitrates
-from repro.experiments.common import changed_sids, dual_hit_rates, resolve_jobs
+from repro.experiments.common import (
+    MACHINE1,
+    MACHINE2,
+    changed_sids,
+    dual_hit_rates,
+    resolve_jobs,
+)
 from repro.frontend import parse_program
 from repro.model import CostModel
 from repro.suite import get_set, suite_entries
@@ -41,6 +46,13 @@ def geometry(assoc: int, sets: int, line: int = 16) -> CacheConfig:
 
 def stats_tuple(stats):
     return (stats.accesses, stats.hits, stats.cold_misses, stats.conflict_misses)
+
+
+def block_trace_events(program, params=None):
+    """The block trace flattened to ``(address, size, write, sid)``."""
+    events = []
+    compile_block_trace(program, params).run(lambda b: events.extend(b.events()))
+    return events
 
 
 # ----------------------------------------------------------------------
@@ -132,6 +144,36 @@ class TestHierarchyBlockEquivalence:
             assert stats_tuple(a.levels[name]) == stats_tuple(b.levels[name])
 
 
+class TestScalarCacheReference:
+    """Per-event ``access`` is the reference for ``access_block`` on the
+    real streams, now that every simulation feeds the batched path."""
+
+    def test_every_all_entry_matches_scalar_cache(self):
+        configs = (MACHINE1.cache, MACHINE2.cache)
+        for entry in get_set("all").entries():
+            for instance in ("mini", "small"):
+                program = entry.program(instance=instance)
+                scalar = [SetAssocCache(config) for config in configs]
+                batched = [SetAssocCache(config) for config in configs]
+
+                def on_block(block) -> None:
+                    for one, many in zip(scalar, batched):
+                        expected = [
+                            one.access(address, size, write)
+                            for address, size, write, _ in block.events()
+                        ]
+                        result = many.access_block(block.addresses, block.sizes)
+                        assert result.hits.tolist() == expected
+
+                compile_block_trace(program).run(on_block)
+                for one, many in zip(scalar, batched):
+                    assert stats_tuple(one.stats) == stats_tuple(many.stats), (
+                        entry.name,
+                        instance,
+                        one.config.name,
+                    )
+
+
 # ----------------------------------------------------------------------
 # Block trace stream == interpreter event stream, on every suite kernel
 # ----------------------------------------------------------------------
@@ -147,7 +189,7 @@ class TestBlockTraceStream:
                 ),
                 init=entry.init,
             )
-            assert block_events(program) == recorded, entry.name
+            assert block_trace_events(program) == recorded, entry.name
 
     def test_every_suite_kernel_compiles_batched(self):
         # simulate() must never fall back to the interpreter on the
@@ -210,7 +252,7 @@ def assert_matches_interpreter(program, params=None, block_size=None):
     )
     interp.run()
     expected = (interp.statements_executed, interp.operations_executed)
-    assert block_events(program, params) == recorded
+    assert block_trace_events(program, params) == recorded
     kwargs = {} if block_size is None else {"block_size": block_size}
     trace = compile_block_trace(program, params, **kwargs)
     events: list = []
@@ -432,6 +474,55 @@ class TestEngineSelection:
         assert "trace.engine.block" not in counters
         assert stats_tuple(fallback.cache) == stats_tuple(expected.cache)
         assert fallback.cycles == expected.cycles
+
+    def test_simulate_with_init_takes_block_path(self):
+        from repro.obs import Obs, use_obs
+
+        entry = next(e for e in suite_entries() if e.init is not None)
+        program = entry.program(12)
+        with use_obs(Obs()) as obs:
+            block = simulate(program, init=entry.init)
+            counters = obs.metrics.snapshot()["counters"]
+        assert counters.get("trace.engine.block") == 1
+        assert "trace.block.fallback" not in counters
+        interpreted = simulate(program, init=entry.init, compiled=False)
+        assert stats_tuple(block.cache) == stats_tuple(interpreted.cache)
+        assert (block.cycles, block.operations) == (
+            interpreted.cycles,
+            interpreted.operations,
+        )
+
+    def test_reuse_profiles_fall_back_to_interpreter(self, monkeypatch):
+        from repro.cache.reuse import per_ref_profile, reuse_profile
+        from repro.obs import Obs, use_obs
+
+        runs = {
+            "reuse_profile": lambda p: {"whole": reuse_profile(p, line=32)},
+            "per_ref_profile": lambda p: per_ref_profile(p, line=32).profiles,
+        }
+
+        def observe(program) -> dict:
+            """Per run: its fallback count and histograms by key."""
+            seen = {}
+            for name, run in runs.items():
+                with use_obs(Obs()) as obs:
+                    profiles = run(program)
+                    counters = obs.metrics.snapshot()["counters"]
+                seen[name] = (
+                    counters.get("trace.block.fallback", 0),
+                    {key: (r.accesses, dict(r.histogram)) for key, r in profiles.items()},
+                )
+            return seen
+
+        programs = [entry.program(8) for entry in list(suite_entries())[:4]]
+        block = [observe(program) for program in programs]
+        monkeypatch.setattr(blocktrace, "compile_block_trace", reject_block_trace)
+        for program, expected in zip(programs, block):
+            interpreted = observe(program)
+            for name in runs:
+                assert expected[name][0] == 0
+                assert interpreted[name][0] == 1, (program.name, name)
+                assert interpreted[name][1] == expected[name][1], (program.name, name)
 
     def test_dual_hit_rates_engines_identical(self, monkeypatch):
         cases = []

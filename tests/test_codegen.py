@@ -6,7 +6,7 @@ program; the interpreter is its oracle.
 
 import pytest
 
-from repro.exec import Interpreter, block_events, simulate
+from repro.exec import Interpreter, simulate
 from repro.exec.blocktrace import compile_block_trace
 from repro.suite import cholesky, matmul, spd_init, suite_entries
 from repro.cache import CACHE2
@@ -23,6 +23,12 @@ def interpreter_trace(prog, init=None):
     return events
 
 
+def block_trace_events(prog):
+    events = []
+    compile_block_trace(prog).run(lambda block: events.extend(block.events()))
+    return events
+
+
 ENTRIES = suite_entries()
 
 
@@ -30,7 +36,7 @@ class TestTraceEquivalence:
     @pytest.mark.parametrize("entry", ENTRIES, ids=[e.name for e in ENTRIES])
     def test_identical_streams(self, entry):
         prog = entry.program(6)
-        assert block_events(prog) == interpreter_trace(prog, entry.init)
+        assert block_trace_events(prog) == interpreter_trace(prog, entry.init)
 
     def test_matmul_trace_length(self):
         sizes = []
