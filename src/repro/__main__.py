@@ -177,7 +177,12 @@ Differential verification: generate random loop nests and check
   * every legality-admitted transform preserves program output
     bit-for-bit (rejected transforms are re-checked to measure
     over-conservatism),
-  * batched and scalar cache engines agree on random streams.
+  * batched and scalar cache engines agree on random streams,
+  * the analytic locality prediction is consistent with the exact
+    reuse-distance histogram of the trace,
+  * lint fix-its are output-preserving and never raise predicted misses,
+  * autotuned configurations are legality-approved, output-preserving
+    and never raise predicted misses.
 """,
         epilog="""\
 Environment:

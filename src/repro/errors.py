@@ -70,3 +70,9 @@ class ExecutionError(ReproError):
 class PolySumError(ReproError, ValueError):
     """A polynomial could not be evaluated (an unbound variable), or a
     loop chain cannot be counted exactly by polynomial summation."""
+
+
+#: What running a program or a transform may raise on input it rejects:
+#: the differential oracles catch these (and only these), so a
+#: programming error still surfaces as a traceback.
+ORACLE_FAILURES = (ReproError, ArithmeticError, ValueError, IndexError, KeyError)

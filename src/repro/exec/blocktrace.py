@@ -342,15 +342,6 @@ def _affine_expr(
     return " + ".join(parts)
 
 
-def _address_affine(ref, env: Mapping[str, int], layout: MemoryLayout) -> Affine:
-    """Base + column-major strides folded into one affine form."""
-    arr = layout[ref.array]
-    addr = Affine.constant(arr.base)
-    for sub, stride in zip(ref.subs, arr.strides):
-        addr = addr + (sub.partial_evaluate(env) - 1) * stride
-    return addr
-
-
 def _perfect_chain(node: Loop) -> tuple[Loop, ...] | None:
     """``node`` and the loops below it while each body is a single loop,
     when the last body is only Assigns (None otherwise)."""
@@ -451,7 +442,7 @@ class _Emitter:
         if slots:
             site_id = self._register_site(slots)
             exprs = ", ".join(
-                _affine_expr(_address_affine(ref, self.env, self.layout), self.env)
+                _affine_expr(self.layout[ref.array].address_form(ref, self.env), self.env)
                 for ref, _, _ in slots
             )
             comma = "," if len(slots) == 1 else ""
@@ -495,7 +486,7 @@ class _Emitter:
                 for loop in chain[i + 1 :]
             )
         ]
-        forms = [_address_affine(ref, self.env, self.layout) for ref, _, _ in slots]
+        forms = [self.layout[ref.array].address_form(ref, self.env) for ref, _, _ in slots]
         forms += [Affine.var(var) for var in carried]
         width = len(forms)
         columns = {var: f"__P[:, {len(slots) + i}]" for i, var in enumerate(carried)}

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.errors import ExecutionError
+from repro.ir.affine import Affine
+from repro.ir.expr import Ref
 from repro.ir.nodes import ArrayDecl, Program
 
 __all__ = ["ArrayLayout", "MemoryLayout"]
@@ -61,6 +63,20 @@ class ArrayLayout:
                 )
             offset += (value - 1) * stride
         return self.base + offset
+
+    def address_form(self, ref: Ref, env: Mapping[str, int]) -> Affine:
+        """Byte address of ``ref`` as one affine form, ``base + sum of
+        (sub - 1) * stride``, with the names bound in ``env`` folded in."""
+        coeffs: dict[str, int] = {}
+        const = self.base
+        for sub, stride in zip(ref.subs, self.strides):
+            const += (sub.const - 1) * stride
+            for name, coeff in sub.terms:
+                if name in env:
+                    const += coeff * int(env[name]) * stride
+                else:
+                    coeffs[name] = coeffs.get(name, 0) + coeff * stride
+        return Affine.build(coeffs, const)
 
 
 @dataclass(frozen=True)

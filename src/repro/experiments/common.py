@@ -9,7 +9,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.cache import CACHE1, CACHE2, CacheConfig, SetAssocCache
+from repro.cache import CACHE1, CACHE2, SPARC2, CacheConfig, SetAssocCache
 from repro.errors import TransformError
 from repro.exec import Machine, PerfResult, run_trace, simulate
 from repro.ir.nodes import Loop, Program
@@ -36,9 +36,7 @@ __all__ = [
 #: relative behaviour is carried by the cache geometry + miss penalty).
 MACHINE1 = Machine(cache=CACHE1, miss_penalty=16)
 MACHINE2 = Machine(cache=CACHE2, miss_penalty=20)
-SPARC_MACHINE = Machine(
-    cache=CacheConfig("sparc2", size=64 * 1024, assoc=1, line=32), miss_penalty=24
-)
+SPARC_MACHINE = Machine(cache=SPARC2, miss_penalty=24)
 
 
 def optimize(program: Program, cls: int = 16) -> Program:

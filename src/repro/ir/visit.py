@@ -16,6 +16,7 @@ from repro.ir.nodes import Assign, Loop, Program
 __all__ = [
     "iter_nodes",
     "iter_loops",
+    "innermost_loops",
     "iter_statements",
     "enclosing_loops",
     "statement_positions",
@@ -45,6 +46,15 @@ def iter_loops(root: "Program | Loop") -> Iterator[Loop]:
     for node in root.body:
         if isinstance(node, Loop):
             yield from iter_loops(node)
+
+
+def innermost_loops(root: "Program | Loop") -> list[Loop]:
+    """The loops under ``root`` with no loop in their body, in pre-order."""
+    return [
+        loop
+        for loop in iter_loops(root)
+        if not any(isinstance(item, Loop) for item in loop.body)
+    ]
 
 
 def iter_statements(root: "Program | Loop") -> Iterator[Assign]:

@@ -446,14 +446,6 @@ class ScalarReplaceCheck(LintCheck):
         return out
 
 
-def _ref_address(ref: Ref, strides: tuple[int, ...]) -> Affine:
-    """Byte offset of ``ref`` within its array (base excluded)."""
-    addr = Affine.constant(0)
-    for sub, stride in zip(ref.subs, strides):
-        addr = addr + sub * stride - stride
-    return addr
-
-
 @register
 class AliasCheck(LintCheck):
     """LOC006: gcd-lattice overlap between non-uniformly generated refs."""
@@ -493,10 +485,8 @@ class AliasCheck(LintCheck):
                     key = (ref_a.array, ref_a.subs, ref_b.subs)
                     if key in reported or (ref_a.array, ref_b.subs, ref_a.subs) in reported:
                         continue
-                    strides = layout[ref_a.array].strides
-                    delta = (
-                        _ref_address(ref_a, strides) - _ref_address(ref_b, strides)
-                    ).partial_evaluate(env)
+                    arr = layout[ref_a.array]
+                    delta = arr.address_form(ref_a, env) - arr.address_form(ref_b, env)
                     coeffs = [c for _name, c in delta.terms]
                     if not coeffs:
                         continue  # uniformly generated: constant distance

@@ -43,7 +43,7 @@ For the unmodified program this equals its ordinary FA-LRU miss ratio.
 
 from __future__ import annotations
 
-from repro.errors import IRError, ReproError
+from repro.errors import ORACLE_FAILURES, IRError
 from repro.ir.affine import Affine
 from repro.ir.canon import content_digest
 from repro.ir.nodes import Loop, Program
@@ -55,6 +55,7 @@ from repro.obs import get_obs
 __all__ = [
     "verify_fixit",
     "capped",
+    "capped_params",
     "predicted_misses",
     "predicted_miss_ratio",
     "VERIFY_PARAM_CAP",
@@ -70,15 +71,13 @@ VERIFY_PARAM_CAP = 8
 #: Tolerance when requiring "never worsens the predicted miss ratio".
 PAYOFF_EPS = 1e-12
 
-#: Failures the interpreter, the oracles and a recipe replay may raise.
-_FAILURES = (ReproError, ArithmeticError, ValueError, IndexError, KeyError)
-
 #: The original program's facts, shared by all its candidates: keyed
 #: ``("valid", digest)`` -> bool and ``("state", digest)`` -> (state,).
 _ORIGINALS = MemoCache("verify.original.cache", cap=64)
 
 
-def _shrunk(program: Program) -> Program:
+def capped_params(program: Program) -> Program:
+    """``program`` with every parameter clamped to the cap."""
     small = {name: min(value, VERIFY_PARAM_CAP) for name, value in program.params}
     return program.scaled(**small) if small else program
 
@@ -136,7 +135,7 @@ def capped(program: Program) -> Program:
     capped loop runs a prefix of its original index range, so all
     accesses stay within the declared extents.
     """
-    small = _shrunk(program)
+    small = capped_params(program)
     env = small.param_env
     return small.with_body(
         tuple(
@@ -168,7 +167,7 @@ def _base_state(program: Program) -> dict[str, bytes] | None:
     if hit is None:
         try:
             hit = (run_state(program),)
-        except _FAILURES:
+        except ORACLE_FAILURES:
             # The *original* program does not run under the interpreter's
             # default initialization (e.g. cholesky needs an SPD input, so
             # SQRT sees a negative). That is not the fix-it's fault; the
@@ -189,7 +188,7 @@ def _replayed(
             return None
         small = capped(original)
         return small, recipe.replay(small)
-    except _FAILURES:
+    except ORACLE_FAILURES:
         return None
 
 
@@ -212,35 +211,29 @@ def verify_fixit(
         except IRError as exc:
             return False, f"invalid-ir: {exc}"
 
-    from repro.dependence.pairs import region_dependences
-    from repro.verify.depforce import analysis_covers, brute_force_dependences
-    from repro.verify.oracles import run_state
+    from repro.verify.depforce import dependence_coverage
+    from repro.verify.oracles import differing_arrays, run_state
 
     pair = _replayed(original, candidate, recipe) if recipe is not None else None
     if pair is None:
         obs = get_obs()
         if obs.enabled:
             obs.metrics.counter("verify.fixit.uncapped").inc()
-    base_prog, cand_prog = pair or (_shrunk(original), _shrunk(candidate))
+    base_prog, cand_prog = pair or (capped_params(original), capped_params(candidate))
     base = _base_state(base_prog)
     if base is not None:
         try:
             state = run_state(cand_prog)
-        except _FAILURES as exc:
+        except ORACLE_FAILURES as exc:
             return False, f"crash: {type(exc).__name__}: {exc}"
-        shared = sorted(set(base) & set(state))
-        differing = [name for name in shared if base[name] != state[name]]
+        differing = differing_arrays(base, state)
         if differing:
             return False, f"state-mismatch: {', '.join(differing)}"
 
     try:
-        deps = region_dependences(cand_prog, include_inputs=True)
-        exact = brute_force_dependences(
-            cand_prog, cand_prog.param_env, include_inputs=True
-        )
-    except _FAILURES as exc:
+        missing, _count = dependence_coverage(cand_prog)
+    except ORACLE_FAILURES as exc:
         return False, f"crash: {type(exc).__name__}: {exc}"
-    missing = analysis_covers(deps, exact)
     if missing:
         return False, f"dependence-uncovered: {missing[0]}"
     return True, "oracle"

@@ -207,11 +207,7 @@ def _collect_slots(
         if stmt.lhs.rank:
             emitting.append((0, stmt.lhs))
         for slot_index, ref in emitting:
-            arr = layout[ref.array]
-            addr = Affine.constant(arr.base)
-            for sub, stride in zip(ref.subs, arr.strides):
-                addr = addr + sub * stride - stride
-            addr = addr.partial_evaluate(env)
+            addr = layout[ref.array].address_form(ref, env)
             chain_vars = {l.var for l in chain}
             coeffs = {n: c for n, c in addr.terms if n in chain_vars}
             if addr.names - chain_vars:

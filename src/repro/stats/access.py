@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ir.nodes import Loop, Program
+from repro.ir.nodes import Program
+from repro.ir.visit import innermost_loops
 from repro.model.loopcost import CONSECUTIVE, INVARIANT, CostModel
 
 __all__ = ["AccessProperties", "collect_access_properties", "cost_ratios"]
@@ -68,7 +69,7 @@ def collect_access_properties(
 
     for nest in program.top_loops:
         info = model.nest_info(nest)
-        for inner in _innermost_loops(nest):
+        for inner in innermost_loops(nest):
             groups = model.groups(nest, inner.var)
             for group in groups:
                 rep = group.representative
@@ -131,17 +132,3 @@ def cost_ratios(
     total_new = sum(_organization_cost(nest, model, env) for nest in new_nests)
     ratio = total_orig / total_new if total_new > 0 else 1.0
     return ratio, ratio
-
-
-def _innermost_loops(nest: Loop) -> list[Loop]:
-    out: list[Loop] = []
-
-    def walk(loop: Loop) -> None:
-        inner = [i for i in loop.body if isinstance(i, Loop)]
-        if not inner:
-            out.append(loop)
-        for item in inner:
-            walk(item)
-
-    walk(nest)
-    return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.ir.nodes import Loop, Program
-from repro.ir.visit import iter_loops
+from repro.ir.visit import innermost_loops, iter_loops
 from repro.model.loopcost import CostModel
 from repro.transforms.compound import FAIL, ORIG, PERM, CompoundOutcome, compound
 
@@ -127,7 +127,7 @@ def _organization_cost(
     """Cost of the nest as written: each group at its own innermost loop."""
     info = model.nest_info(nest)
     total = 0.0
-    for inner in _innermost_loop_objects(nest):
+    for inner in innermost_loops(nest):
         for group in model.groups(nest, inner.var):
             rep = group.representative
             chain = info.chains[rep.sid]
@@ -150,20 +150,6 @@ def _group_cost(model, info, rep, inner_loop, chain, env=None) -> float:
         except ReproError:
             pass
     return cost.magnitude()
-
-
-def _innermost_loop_objects(nest: Loop) -> list[Loop]:
-    out: list[Loop] = []
-
-    def walk(loop: Loop) -> None:
-        inner = [i for i in loop.body if isinstance(i, Loop)]
-        if not inner:
-            out.append(loop)
-        for item in inner:
-            walk(item)
-
-    walk(nest)
-    return out
 
 
 def collect_program_stats(

@@ -28,7 +28,6 @@ from repro.transforms.legality import (
 )
 from repro.transforms.permute import PermuteResult, apply_order, permute_nest
 from repro.transforms.scalar_replace import ScalarReplaceResult, scalar_replace_program
-from repro.transforms.skewing import skew_loop
 from repro.transforms.tiling import TileResult, choose_tile_loops, strip_mine, tile_nest
 from repro.transforms.unroll_jam import unroll_and_jam, unroll_and_jam_program
 
@@ -57,7 +56,6 @@ __all__ = [
     "TileResult",
     "choose_tile_loops",
     "scalar_replace_program",
-    "skew_loop",
     "strip_mine",
     "tile_nest",
     "unroll_and_jam",

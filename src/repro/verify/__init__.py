@@ -1,6 +1,6 @@
 """Differential verification subsystem.
 
-Three oracle layers, each differential against ground truth that is
+Six oracles, each differential against ground truth that is
 independent of the code under test:
 
 * :mod:`repro.verify.depforce` — brute-force dependence enumeration;
@@ -11,11 +11,18 @@ independent of the code under test:
   mechanically possible to measure over-conservatism.
 * :mod:`repro.verify.cachecheck` — batched (`access_block`) vs scalar
   (`access`) cache engines on random streams and geometries.
+* :mod:`repro.verify.localitycheck` — the analytic locality predictor
+  vs the exact reuse-distance histogram of the trace.
+* :mod:`repro.verify.lintcheck` — lint fix-its are equivalent and
+  never raise the predicted miss count.
+* :mod:`repro.verify.tunecheck` — autotuned configurations are
+  legality-approved, equivalent and miss-monotone.
 
+Each reports a :class:`~repro.verify.oracles.Mismatch`.
 :mod:`repro.verify.gennest` generates the random programs,
 :mod:`repro.verify.shrink` minimizes failures, and
-:mod:`repro.verify.runner` drives it all behind
-``python -m repro verify --fuzz N --seed S [--shrink]``.
+:mod:`repro.verify.runner` runs every oracle on each case in one pass
+behind ``python -m repro verify --fuzz N --seed S [--shrink]``.
 """
 
 from repro.verify.depforce import (

@@ -1,43 +1,32 @@
 """Differential check: batched vs scalar cache simulation.
 
-PR 3's ``access_block`` fast paths (direct-mapped replay, two-way closed
+The ``access_block`` fast paths (direct-mapped replay, two-way closed
 form, rounds replay for higher associativity) must be *bit-identical* to
 the scalar ``access`` reference on any stream.  This module fuzzes both
 :class:`~repro.cache.cache.SetAssocCache` and
 :class:`~repro.cache.hierarchy.Hierarchy` on random geometries and
 random address streams (sequential runs, strides, re-use windows,
 line-straddling sizes) and compares per-access outcomes and final
-statistics.
+statistics. The first divergence is a :class:`~repro.verify.oracles.Mismatch`
+whose context is the geometry and whose detail ends with the head of
+the stream that exposed it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from repro.cache.cache import CacheConfig, SetAssocCache
 from repro.cache.hierarchy import Hierarchy, tlb_config
+from repro.verify.oracles import Mismatch
 
 __all__ = [
-    "CacheMismatch",
     "random_config",
     "random_stream",
     "check_cache_pair",
     "check_hierarchy_pair",
     "run_cache_check",
 ]
-
-
-@dataclass(frozen=True)
-class CacheMismatch:
-    """First divergence between the scalar and batched engines."""
-
-    where: str  # "cache" | "hierarchy"
-    config: tuple
-    index: int | None
-    detail: str
-    addresses: tuple[int, ...]
-    sizes: tuple[int, ...]
 
 
 def random_config(rng: random.Random, name: str = "L1") -> CacheConfig:
@@ -78,9 +67,14 @@ def _config_key(config: CacheConfig) -> tuple:
     return (config.name, config.size, config.assoc, config.line)
 
 
+def _mismatch(where: str, key: tuple, detail: str, addresses: list[int]) -> Mismatch:
+    head = ", ".join(map(str, addresses[:12]))
+    return Mismatch(where, f"{detail}; stream head: [{head} ...]", f"config={key}")
+
+
 def check_cache_pair(
     config: CacheConfig, addresses: list[int], sizes: list[int]
-) -> CacheMismatch | None:
+) -> Mismatch | None:
     """Replay one stream through scalar and batched engines; compare."""
     scalar = SetAssocCache(config)
     hits = []
@@ -95,23 +89,19 @@ def check_cache_pair(
 
     for i, (hit, cold) in enumerate(zip(hits, colds)):
         if bool(block.hits[i]) != hit or int(block.cold[i]) != cold:
-            return CacheMismatch(
+            return _mismatch(
                 "cache",
                 _config_key(config),
-                i,
                 f"access {i}: scalar (hit={hit}, cold={cold}) vs "
                 f"batched (hit={bool(block.hits[i])}, cold={int(block.cold[i])})",
-                tuple(addresses),
-                tuple(sizes),
+                addresses,
             )
     if scalar.stats != batched.stats:
-        return CacheMismatch(
+        return _mismatch(
             "cache",
             _config_key(config),
-            None,
             f"final stats differ: {scalar.stats} vs {batched.stats}",
-            tuple(addresses),
-            tuple(sizes),
+            addresses,
         )
     return None
 
@@ -121,7 +111,7 @@ def check_hierarchy_pair(
     tlb: CacheConfig | None,
     addresses: list[int],
     sizes: list[int],
-) -> CacheMismatch | None:
+) -> Mismatch | None:
     scalar = Hierarchy(configs, tlb=tlb)
     levels = [scalar.access(addr, size) for addr, size in zip(addresses, sizes)]
 
@@ -131,28 +121,19 @@ def check_hierarchy_pair(
     key = tuple(_config_key(c) for c in configs)
     for i, level in enumerate(levels):
         if int(level_of[i]) != level:
-            return CacheMismatch(
+            return _mismatch(
                 "hierarchy",
                 key,
-                i,
                 f"access {i}: scalar level {level} vs batched {int(level_of[i])}",
-                tuple(addresses),
-                tuple(sizes),
+                addresses,
             )
     a, b = scalar.result, batched.result
     if a.levels != b.levels or a.tlb != b.tlb:
-        return CacheMismatch(
-            "hierarchy",
-            key,
-            None,
-            f"final stats differ: {a} vs {b}",
-            tuple(addresses),
-            tuple(sizes),
-        )
+        return _mismatch("hierarchy", key, f"final stats differ: {a} vs {b}", addresses)
     return None
 
 
-def run_cache_check(rng: random.Random, stream_len: int = 200) -> CacheMismatch | None:
+def run_cache_check(rng: random.Random, stream_len: int = 150) -> Mismatch | None:
     """One fuzz round: a single-cache stream and a hierarchy stream."""
     config = random_config(rng)
     addresses, sizes = random_stream(rng, stream_len)

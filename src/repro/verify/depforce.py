@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
+from repro.dependence import pairs
 from repro.ir.nodes import Assign, Loop, Program
 from repro.ir.visit import enclosing_loops
 
@@ -24,6 +25,7 @@ __all__ = [
     "brute_force_dependences",
     "vector_covers",
     "analysis_covers",
+    "dependence_coverage",
 ]
 
 
@@ -368,3 +370,11 @@ def analysis_covers(deps, exact: set[tuple]) -> list[tuple]:
         if not any(vector_covers(vector, dep[4]) for vector in vectors):
             missing.append(dep)
     return missing
+
+
+def dependence_coverage(program: Program) -> tuple[list[tuple], int]:
+    """The exact dependences of ``program`` its analytic dependences miss
+    (inputs included; should be []), and how many exact ones it has."""
+    deps = pairs.region_dependences(program, include_inputs=True)
+    exact = brute_force_dependences(program, program.param_env, include_inputs=True)
+    return analysis_covers(deps, exact), len(exact)

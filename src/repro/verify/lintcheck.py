@@ -11,19 +11,19 @@ invariants, independently of the engine's own verification pass:
   payoff order yields a program that is still execution-equivalent to
   the original and whose predicted miss count is no worse.
 
-A violation is returned as a :class:`LintMismatch` for the fuzz runner
-to report; ``None`` means the case is clean.
+A violation is returned as a :class:`~repro.verify.oracles.Mismatch`
+for the fuzz runner to report; ``None`` means the case is clean. The
+cache geometry and miss tolerance below are shared with the autotune
+oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.errors import ReproError
+from repro.errors import ORACLE_FAILURES
 from repro.ir.nodes import Program
-from repro.verify.oracles import state_difference
+from repro.verify.oracles import Mismatch, state_difference
 
-__all__ = ["LintMismatch", "check_lint", "ORACLE_LINE", "ORACLE_CAPACITY"]
+__all__ = ["check_lint", "ORACLE_LINE", "ORACLE_CAPACITY", "MISS_EPS"]
 
 #: Cache geometry the oracle scores with (small capacity so miss ratios
 #: are not saturated at 0 on fuzz-sized programs).
@@ -32,17 +32,15 @@ ORACLE_CAPACITY = 64
 
 #: Slack when comparing predicted miss counts (they are exact integers,
 #: but keep a tolerance so a future fractional predictor stays safe).
-_MISS_EPS = 1e-9
+MISS_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class LintMismatch:
-    where: str  # "fixit-state" | "fixit-misses" | "fixit-unverified" | "fix-state" | "fix-misses" | "crash"
-    detail: str
+def check_lint(program: Program) -> Mismatch | None:
+    """Run the lint engine over ``program`` and re-check its promises.
 
-
-def check_lint(program: Program) -> LintMismatch | None:
-    """Run the lint engine over ``program`` and re-check its promises."""
+    A mismatch's ``where`` is one of ``fixit-state``, ``fixit-misses``,
+    ``fixit-unverified``, ``fix-state``, ``fix-misses`` and ``crash``.
+    """
     from repro.lint import apply_fixes, lint_program
     from repro.lint.verifyfix import predicted_misses
 
@@ -59,7 +57,7 @@ def check_lint(program: Program) -> LintMismatch | None:
                 # Engine policy: unverified fix-its ride only on
                 # error-severity diagnostics (the escalation path).
                 if diag.severity != "error":
-                    return LintMismatch(
+                    return Mismatch(
                         "fixit-unverified",
                         f"{diag.check_id}: unverified fix-it attached to a "
                         f"{diag.severity}-severity diagnostic",
@@ -67,7 +65,7 @@ def check_lint(program: Program) -> LintMismatch | None:
                 continue
             differing = state_difference(program, fixit.program)
             if differing:
-                return LintMismatch(
+                return Mismatch(
                     "fixit-state",
                     f"{diag.check_id} ({fixit.transform}): arrays differ: "
                     f"{differing}",
@@ -75,8 +73,8 @@ def check_lint(program: Program) -> LintMismatch | None:
             misses, _ = predicted_misses(
                 fixit.program, ORACLE_LINE, ORACLE_CAPACITY
             )
-            if misses > base_misses + _MISS_EPS:
-                return LintMismatch(
+            if misses > base_misses + MISS_EPS:
+                return Mismatch(
                     "fixit-misses",
                     f"{diag.check_id} ({fixit.transform}): predicted misses "
                     f"{base_misses} -> {misses} (regression)",
@@ -88,7 +86,7 @@ def check_lint(program: Program) -> LintMismatch | None:
         if outcome.applied:
             differing = state_difference(program, outcome.program)
             if differing:
-                return LintMismatch(
+                return Mismatch(
                     "fix-state",
                     f"after {len(outcome.applied)} fix-it(s): arrays differ: "
                     f"{differing}",
@@ -96,12 +94,12 @@ def check_lint(program: Program) -> LintMismatch | None:
             final_misses, _ = predicted_misses(
                 outcome.program, ORACLE_LINE, ORACLE_CAPACITY
             )
-            if final_misses > base_misses + _MISS_EPS:
-                return LintMismatch(
+            if final_misses > base_misses + MISS_EPS:
+                return Mismatch(
                     "fix-misses",
                     f"after {len(outcome.applied)} fix-it(s): predicted "
                     f"misses {base_misses} -> {final_misses} (regression)",
                 )
-    except (ReproError, ArithmeticError, ValueError, IndexError, KeyError) as exc:
-        return LintMismatch("crash", f"{type(exc).__name__}: {exc}")
+    except ORACLE_FAILURES as exc:
+        return Mismatch("crash", f"{type(exc).__name__}: {exc}")
     return None

@@ -26,14 +26,13 @@ nest, the trace-derived reuse-distance histogram is compared against
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.cache.reuse import per_ref_profile
 from repro.ir.nodes import Program
-from repro.locality.analytic import predict_locality
+from repro.locality.analytic import LocalityPrediction, predict_locality
 from repro.locality.histogram import oracle_profile
+from repro.verify.oracles import Mismatch
 
-__all__ = ["LocalityMismatch", "check_locality", "MODEL_RATE_BOUND"]
+__all__ = ["check_locality", "MODEL_RATE_BOUND"]
 
 #: Element-granularity line size used by the oracle.
 ORACLE_LINE = 8
@@ -43,15 +42,6 @@ MODEL_CAPACITIES = (16, 256)
 
 #: Additive widening of the model-path hit-rate envelope.
 MODEL_RATE_BOUND = 0.25
-
-
-@dataclass(frozen=True)
-class LocalityMismatch:
-    """First divergence between prediction and trace for one program."""
-
-    where: str  # "engines" | "accesses" | "mass" | "exact" | "model"
-    path: str  # "exact" | "model"
-    detail: str
 
 
 def _first_histogram_diff(a, b) -> str:
@@ -64,9 +54,17 @@ def _first_histogram_diff(a, b) -> str:
 
 
 def check_locality(
-    program: Program, line: int = ORACLE_LINE
-) -> LocalityMismatch | None:
-    """Run the full locality oracle on one program; None when clean."""
+    program: Program,
+    line: int = ORACLE_LINE,
+    prediction: LocalityPrediction | None = None,
+) -> Mismatch | None:
+    """Run the full locality oracle on one program; None when clean.
+
+    ``prediction`` is ``predict_locality(program, line=line)`` when the
+    caller has made it already. A mismatch's ``where`` is one of
+    ``engines``, ``accesses``, ``mass``, ``exact`` and ``model``; its
+    context names the predictor's path.
+    """
     block = per_ref_profile(program, line=line)
     trace = block.profile
 
@@ -79,36 +77,35 @@ def check_locality(
     ]
     for where, want, got in pairs:
         if got.histogram != want.histogram:
-            return LocalityMismatch(
+            return Mismatch(
                 "engines",
-                "-",
                 f"block engine diverges from the oracle ({where}): "
                 + _first_histogram_diff(got.histogram, want.histogram),
+                "path=-",
             )
 
-    prediction = predict_locality(program, line=line)
-    path = "exact" if prediction.exact else "model"
+    if prediction is None:
+        prediction = predict_locality(program, line=line)
+    context = f"path={'exact' if prediction.exact else 'model'}"
     if prediction.accesses != trace.accesses:
-        return LocalityMismatch(
+        return Mismatch(
             "accesses",
-            path,
             f"predicted {prediction.accesses} accesses, traced {trace.accesses}",
+            context,
         )
     predicted = prediction.predicted_histogram()
     mass = sum(predicted.values())
     if mass != prediction.accesses:
-        return LocalityMismatch(
+        return Mismatch(
             "mass",
-            path,
             f"histogram mass {mass} != access count {prediction.accesses}",
+            context,
         )
 
     if prediction.exact:
         if predicted != trace.histogram:
-            return LocalityMismatch(
-                "exact",
-                path,
-                _first_histogram_diff(predicted, trace.histogram),
+            return Mismatch(
+                "exact", _first_histogram_diff(predicted, trace.histogram), context
             )
         return None
 
@@ -119,11 +116,11 @@ def check_locality(
         hi = prediction.hit_rate_for_capacity(capacity * 2, include_cold=True)
         want = trace.hit_rate_for_capacity(capacity, include_cold=True)
         if not (lo - MODEL_RATE_BOUND <= want <= hi + MODEL_RATE_BOUND):
-            return LocalityMismatch(
+            return Mismatch(
                 "model",
-                path,
                 f"hit rate at {capacity} lines: traced {want:.3f} outside "
                 f"predicted envelope [{lo:.3f}, {hi:.3f}] "
                 f"(+-{MODEL_RATE_BOUND})",
+                context,
             )
     return None

@@ -15,6 +15,10 @@ verdict and the transformed program.  Rejected transforms are *forced*
 through the mechanical rewriter wherever that is possible, so the
 checker can also measure over-conservatism: a rejected transform whose
 output matches is a missed opportunity (counted, never a failure).
+
+The module also holds what every oracle of :mod:`repro.verify` shares:
+the :class:`Mismatch` they all report and the array-state comparison
+(:func:`differing_arrays`) that the fix-it verifier uses as well.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.errors import ReproError, TransformError
+from repro.errors import ORACLE_FAILURES, TransformError
 from repro.exec.interp import Interpreter
 from repro.ir.nodes import Loop, Program
 from repro.ir.visit import iter_loops
@@ -37,16 +41,35 @@ from repro.transforms.tiling import tile_nest
 from repro.transforms.unroll_jam import unroll_and_jam
 
 __all__ = [
+    "Mismatch",
     "Trial",
     "TrialResult",
     "transform_trials",
     "check_trial",
     "run_state",
+    "differing_arrays",
     "state_difference",
 ]
 
 #: Permutation trials are enumerated exhaustively up to this chain depth.
 _MAX_PERM_DEPTH = 3
+
+
+@dataclass(frozen=True)
+class Mismatch:
+    """What one oracle found wrong with one case.
+
+    ``where`` is the slug of the broken invariant, ``detail`` says what
+    differed and ``context`` the setting it differed in (a cache
+    geometry, the predictor's path, a trial's parameters). ``reason``
+    replaces the oracle's reason slug when it varies per finding: a
+    transform trial reports the legality slug that admitted it.
+    """
+
+    where: str
+    detail: str
+    context: str = ""
+    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -98,30 +121,37 @@ def run_state(program: Program) -> dict[str, bytes]:
     return {name: arr.tobytes() for name, arr in arrays.items()}
 
 
+def differing_arrays(
+    base: dict[str, bytes],
+    state: dict[str, bytes],
+    names: tuple[str, ...] | None = None,
+) -> tuple[str, ...]:
+    """The arrays among ``names`` whose final states differ; by default
+    every array both states share, in sorted order."""
+    if names is None:
+        names = sorted(base.keys() & state.keys())
+    return tuple(name for name in names if state.get(name) != base.get(name))
+
+
 def state_difference(original: Program, candidate: Program) -> str | None:
     """Arrays whose final states differ after shrinking both programs'
     parameters to the fix-it verification cap; None when all shared
     arrays agree."""
-    from repro.lint.verifyfix import _shrunk
+    from repro.lint.verifyfix import capped_params
 
-    base = run_state(_shrunk(original))
-    state = run_state(_shrunk(candidate))
-    differing = sorted(
-        name for name in set(base) & set(state) if base[name] != state[name]
-    )
-    return ", ".join(differing) or None
+    base = run_state(capped_params(original))
+    state = run_state(capped_params(candidate))
+    return ", ".join(differing_arrays(base, state)) or None
 
 
 def check_trial(base: dict[str, bytes], trial: Trial) -> TrialResult:
     """Compare a trial's final state against the untransformed state."""
     try:
         state = run_state(trial.program)
-    except (ReproError, ArithmeticError, ValueError, IndexError, KeyError) as exc:
+    except ORACLE_FAILURES as exc:
         return TrialResult(trial, equal=False, crashed=f"{type(exc).__name__}: {exc}")
     names = trial.compare if trial.compare is not None else tuple(base)
-    differing = tuple(
-        name for name in names if state.get(name) != base.get(name)
-    )
+    differing = differing_arrays(base, state, names)
     return TrialResult(trial, equal=not differing, differing=differing)
 
 

@@ -2,10 +2,12 @@
 
 Entry point behind ``python -m repro verify --fuzz N --seed S``.  Each
 case is pinned by ``(seed, case-index)``, so any failure is reproducible
-from the two integers the report prints; ``replay_case`` regenerates and
-re-checks a single case programmatically.
+from the two integers the report prints.  :func:`check_case`
+regenerates one case and runs every row of :data:`ORACLES` on it;
+``run_fuzz`` aggregates, counts and shrinks what the rows find, and
+``replay_case`` prints it.
 
-Per case the driver runs the full oracle hierarchy:
+The rows, in the order they run:
 
 1. **dependence cross-check** — analytic vectors must cover the
    brute-force set (:mod:`repro.verify.depforce`);
@@ -29,32 +31,43 @@ Per case the driver runs the full oracle hierarchy:
    chosen program execution-equivalent to the input
    (:mod:`repro.verify.tunecheck`).
 
-Counters and remarks flow through :mod:`repro.obs`; a failure remark
-carries the reason slug of the legality decision that admitted the
-transform (``order-legal``, ``fusion-safe``, ...).
+Every oracle reports a :class:`~repro.verify.oracles.Mismatch`, which
+its row labels with a kind and a reason slug to make a
+:class:`Failure`. Counters and remarks flow through :mod:`repro.obs`; a
+transform failure carries the reason slug of the legality decision that
+admitted the transform (``order-legal``, ``fusion-safe``, ...).
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable
 
-from repro.dependence.pairs import region_dependences
 from repro.ir.nodes import Program
 from repro.ir.pretty import pretty_program
-from repro.model.loopcost import CostModel
+from repro.locality.analytic import predict_locality
 from repro.obs import get_obs
-from repro.verify.cachecheck import CacheMismatch, run_cache_check
-from repro.verify.depforce import analysis_covers, brute_force_dependences
-from repro.verify.gennest import DEFAULT_CONFIG, GenConfig, generate_program
-from repro.verify.lintcheck import LintMismatch, check_lint
-from repro.verify.localitycheck import LocalityMismatch, check_locality
-from repro.verify.oracles import TrialResult, check_trial, run_state, transform_trials
+from repro.verify.cachecheck import run_cache_check
+from repro.verify.depforce import dependence_coverage
+from repro.verify.gennest import DEFAULT_CONFIG, generate_program
+from repro.verify.lintcheck import check_lint
+from repro.verify.localitycheck import ORACLE_LINE, check_locality
+from repro.verify.oracles import Mismatch, check_trial, run_state, transform_trials
 from repro.verify.shrink import shrink_program
-from repro.verify.tunecheck import TuneMismatch, check_autotune
+from repro.verify.tunecheck import check_autotune
 
-__all__ = ["Failure", "FuzzReport", "run_fuzz", "replay_case", "case_rng"]
+__all__ = [
+    "Failure",
+    "FuzzReport",
+    "Oracle",
+    "ORACLES",
+    "check_case",
+    "run_fuzz",
+    "replay_case",
+    "case_rng",
+]
 
 
 @dataclass(frozen=True)
@@ -64,7 +77,7 @@ class Failure:
     kind: str  # "transform" | "dependence" | "cache" | "locality" | "lint" | "autotune"
     transform: str
     detail: str
-    reason: str  # legality slug that admitted the transform
+    reason: str  # the row's slug; for a transform, the legality slug that admitted it
     info: str
     program: Program | None
     shrunk: Program | None = None
@@ -87,23 +100,23 @@ class Failure:
             lines.append(f"# {self.info}")
         return "\n".join(lines)
 
+    def headline(self) -> str:
+        """One line: the oracle, what failed, its reason slug and why."""
+        what = " ".join(part for part in (self.transform, self.detail) if part)
+        return f"{self.kind} oracle: {what} [{self.reason}]: {self.info}"
+
 
 @dataclass
 class FuzzReport:
-    cases: int = 0
+    cases: int = 0  # cases every oracle ran on
     seed: int = 0
     trials: int = 0
     accepted: int = 0
     rejected: int = 0
     over_conservative: Counter = field(default_factory=Counter)
     rejections_confirmed: int = 0
-    dep_nests: int = 0
     dep_exact: int = 0
-    cache_rounds: int = 0
-    locality_rounds: int = 0
     locality_exact: int = 0
-    lint_rounds: int = 0
-    tune_rounds: int = 0
     failures: list[Failure] = field(default_factory=list)
 
     @property
@@ -120,16 +133,16 @@ class FuzzReport:
             f"{self.trials} transform trials "
             f"({self.accepted} accepted, {self.rejected} rejected), "
             f"{len(self.failures)} failures",
-            f"  dependence cross-check: {self.dep_nests} nests, "
+            f"  dependence cross-check: {self.cases} nests, "
             f"{self.dep_exact} exact dependences covered",
-            f"  cache cross-check: {self.cache_rounds} rounds, "
+            f"  cache cross-check: {self.cases} rounds, "
             "scalar and batched engines bit-identical",
-            f"  locality cross-check: {self.locality_rounds} nests "
+            f"  locality cross-check: {self.cases} nests "
             f"({self.locality_exact} on the exact path), "
             "prediction consistent with the trace",
-            f"  lint cross-check: {self.lint_rounds} nests, fix-its "
+            f"  lint cross-check: {self.cases} nests, fix-its "
             "equivalent and miss-monotone",
-            f"  autotune cross-check: {self.tune_rounds} nests, configs "
+            f"  autotune cross-check: {self.cases} nests, configs "
             "legality-approved and miss-monotone",
             f"  over-conservative rejections: {oc}"
             + (f" ({oc_detail})" if oc_detail else ""),
@@ -142,346 +155,184 @@ def case_rng(seed: int, case: int) -> random.Random:
     return random.Random(seed * 1_000_003 + case)
 
 
-def _cache_rng(seed: int, case: int) -> random.Random:
-    # Independent stream so the cache check replays without re-running
-    # program generation first.
-    return random.Random((seed * 1_000_003 + case) ^ 0xC0FFEE)
-
-
-def _check_dependences(program: Program) -> list[tuple]:
-    deps = region_dependences(program, include_inputs=True)
-    exact = brute_force_dependences(
-        program, program.param_env, include_inputs=True
-    )
-    return analysis_covers(deps, exact), len(exact)
-
-
-def run_case(
-    seed: int, case: int, config: GenConfig = DEFAULT_CONFIG
-) -> tuple[Program, list[TrialResult], list[tuple]]:
-    """Regenerate one case and run the program-level oracles."""
-    rng = case_rng(seed, case)
-    program = generate_program(rng, config, name=f"FUZZ{case}")
-    missing, _count = _check_dependences(program)
-    base = run_state(program)
-    results = [
-        check_trial(base, trial)
-        for trial in transform_trials(program, CostModel())
+# ----------------------------------------------------------------------
+# The oracle table
+# ----------------------------------------------------------------------
+def _dependences(program: Program, seed: int, case: int, tally: Counter):
+    missing, count = dependence_coverage(program)
+    tally["dep_exact"] += count
+    if not missing:
+        return []
+    return [
+        Mismatch("analysis", f"first uncovered: {missing[0]}", f"{len(missing)} uncovered")
     ]
-    return program, results, missing
 
 
-def _shrink_transform_failure(
-    program: Program, transform: str
-) -> Program:
-    """Minimize a program that fails the equivalence oracle for ``transform``."""
+def _transforms(program: Program, seed: int, case: int, tally: Counter):
+    base = run_state(program)
+    found = []
+    for trial in transform_trials(program):
+        result = check_trial(base, trial)
+        tally["trials"] += 1
+        tally["accepted" if trial.accepted else "rejected"] += 1
+        if result.is_failure:
+            info = (
+                f"crash: {result.crashed}"
+                if result.crashed
+                else f"arrays differ: {', '.join(result.differing)}"
+            )
+            found.append(Mismatch(trial.transform, info, trial.detail, trial.reason))
+        elif result.is_over_conservative:
+            tally[f"over_conservative.{trial.transform}"] += 1
+        elif not trial.accepted:
+            tally["rejections_confirmed"] += 1
+    return found
+
+
+def _cache(program: Program, seed: int, case: int, tally: Counter):
+    # Its own stream, derived from (seed, case) alone rather than drawn
+    # after the program's.
+    return [run_cache_check(random.Random((seed * 1_000_003 + case) ^ 0xC0FFEE))]
+
+
+def _locality(program: Program, seed: int, case: int, tally: Counter):
+    prediction = predict_locality(program, line=ORACLE_LINE)
+    tally["locality_exact"] += prediction.exact
+    return [check_locality(program, prediction=prediction)]
+
+
+@dataclass(frozen=True)
+class Oracle:
+    """One row of the oracle table.
+
+    ``check(program, seed, case, tally)`` returns what the oracle found
+    wrong with the case (None entries mean clean) and adds its coverage
+    counts to ``tally``. The row's ``kind`` and ``reason`` label the
+    failures it reports. ``on_program`` is False for a row that checks
+    streams seeded by ``(seed, case)`` instead of the program, so its
+    failures carry no program to shrink.
+    """
+
+    kind: str
+    reason: str
+    check: Callable[[Program, int, int, Counter], Iterable[Mismatch | None]]
+    on_program: bool = True
+
+
+ORACLES = (
+    Oracle("dependence", "coverage", _dependences),
+    # A failing trial reports the legality slug that admitted it.
+    Oracle("transform", "", _transforms),
+    Oracle("cache", "engine-divergence", _cache, on_program=False),
+    Oracle("locality", "locality-divergence", _locality),
+    Oracle("lint", "lint-invariant", lambda program, *_: [check_lint(program)]),
+    Oracle(
+        "autotune", "autotune-invariant", lambda program, *_: [check_autotune(program)]
+    ),
+)
+
+
+def _failures(
+    oracle: Oracle, program: Program, seed: int, case: int, tally: Counter
+) -> list[Failure]:
+    return [
+        Failure(
+            case,
+            seed,
+            oracle.kind,
+            # A transform failure is named by its transform alone, as
+            # the verify.failures.<t> counters are.
+            m.where if oracle.kind == "transform" else f"{oracle.kind}-{m.where}",
+            m.context,
+            m.reason or oracle.reason,
+            m.detail,
+            program if oracle.on_program else None,
+        )
+        for m in oracle.check(program, seed, case, tally)
+        if m is not None
+    ]
+
+
+def check_case(seed: int, case: int) -> tuple[Program, list[Failure], Counter]:
+    """Regenerate one case and run every oracle on it: the program, the
+    failures in table order, and the oracles' coverage tally."""
+    program = generate_program(case_rng(seed, case), DEFAULT_CONFIG, name=f"FUZZ{case}")
+    tally: Counter = Counter()
+    failures = [
+        failure
+        for oracle in ORACLES
+        for failure in _failures(oracle, program, seed, case, tally)
+    ]
+    return program, failures, tally
+
+
+def _shrunk(failure: Failure) -> Failure:
+    """``failure`` with its program minimized while its oracle still
+    reports a failure of the same name on it."""
+    oracle = next(row for row in ORACLES if row.kind == failure.kind)
 
     def still_fails(candidate: Program) -> bool:
         try:
-            base = run_state(candidate)
-            trials = [
-                t
-                for t in transform_trials(candidate, CostModel())
-                if t.transform == transform
-            ]
-            return any(check_trial(base, t).is_failure for t in trials)
+            found = _failures(oracle, candidate, failure.seed, failure.case, Counter())
         except Exception:
             return False
+        return any(f.transform == failure.transform for f in found)
 
-    return shrink_program(program, still_fails)
-
-
-def _shrink_dependence_failure(program: Program) -> Program:
-    def still_fails(candidate: Program) -> bool:
-        try:
-            missing, _count = _check_dependences(candidate)
-            return bool(missing)
-        except Exception:
-            return False
-
-    return shrink_program(program, still_fails)
+    return replace(failure, shrunk=shrink_program(failure.program, still_fails))
 
 
 def run_fuzz(
-    n: int,
-    seed: int = 0,
-    shrink: bool = False,
-    config: GenConfig = DEFAULT_CONFIG,
-    cache_stream_len: int = 150,
-    max_failures: int = 10,
+    n: int, seed: int = 0, shrink: bool = False, max_failures: int = 10
 ) -> FuzzReport:
     """Run ``n`` fuzz cases; returns the aggregated report."""
     obs = get_obs()
-    report = FuzzReport(cases=n, seed=seed)
-    model = CostModel()
+    report = FuzzReport(seed=seed)
     for case in range(n):
         if len(report.failures) >= max_failures:
-            report.cases = case
             break
-        rng = case_rng(seed, case)
-        program = generate_program(rng, config, name=f"FUZZ{case}")
+        _program, failures, tally = check_case(seed, case)
         obs.metrics.counter("verify.cases").inc()
-
-        # 1. Brute-force dependence coverage.
-        missing, exact_count = _check_dependences(program)
-        report.dep_nests += 1
-        report.dep_exact += exact_count
-        if missing:
-            failure = Failure(
-                case,
-                seed,
-                "dependence",
-                "dependence-analysis",
-                f"{len(missing)} uncovered",
-                "coverage",
-                f"first uncovered: {missing[0]}",
-                program,
-                _shrink_dependence_failure(program) if shrink else None,
-            )
+        report.cases += 1
+        report.trials += tally["trials"]
+        report.accepted += tally["accepted"]
+        report.rejected += tally["rejected"]
+        report.rejections_confirmed += tally["rejections_confirmed"]
+        report.dep_exact += tally["dep_exact"]
+        report.locality_exact += tally["locality_exact"]
+        for key, count in tally.items():
+            name, _, transform = key.partition(".")
+            if name == "over_conservative":
+                report.over_conservative[transform] += count
+            if name in ("trials", "over_conservative", "rejections_confirmed"):
+                obs.metrics.counter(f"verify.{key}").inc(count)
+        for failure in failures:
+            if shrink and failure.program is not None:
+                failure = _shrunk(failure)
             report.failures.append(failure)
             obs.metrics.counter("verify.failures").inc()
+            if failure.kind == "transform":
+                obs.metrics.counter(f"verify.failures.{failure.transform}").inc()
             obs.remark(
                 "verify",
                 "rejected",
-                f"case {case}: analysis misses exact dependence {missing[0]}",
-                reason="coverage",
-                case=case,
-                seed=seed,
-            )
-
-        # 2. Execution equivalence for every transform trial.
-        base = run_state(program)
-        for trial in transform_trials(program, model):
-            result = check_trial(base, trial)
-            report.trials += 1
-            obs.metrics.counter("verify.trials").inc()
-            if trial.accepted:
-                report.accepted += 1
-            else:
-                report.rejected += 1
-            if result.is_failure:
-                info = (
-                    f"crash: {result.crashed}"
-                    if result.crashed
-                    else f"arrays differ: {', '.join(result.differing)}"
-                )
-                failure = Failure(
-                    case,
-                    seed,
-                    "transform",
-                    trial.transform,
-                    trial.detail,
-                    trial.reason,
-                    info,
-                    program,
-                    _shrink_transform_failure(program, trial.transform)
-                    if shrink
-                    else None,
-                )
-                report.failures.append(failure)
-                obs.metrics.counter("verify.failures").inc()
-                obs.metrics.counter(f"verify.failures.{trial.transform}").inc()
-                obs.remark(
-                    "verify",
-                    "rejected",
-                    f"case {case}: {trial.transform} {trial.detail} admitted "
-                    f"but changed program output",
-                    reason=trial.reason,
-                    transform=trial.transform,
-                    case=case,
-                    seed=seed,
-                )
-            elif result.is_over_conservative:
-                report.over_conservative[trial.transform] += 1
-                obs.metrics.counter(
-                    f"verify.over_conservative.{trial.transform}"
-                ).inc()
-            elif not trial.accepted:
-                report.rejections_confirmed += 1
-                obs.metrics.counter("verify.rejections_confirmed").inc()
-
-        # 3. Cache-engine differential check.
-        mismatch = run_cache_check(_cache_rng(seed, case), stream_len=cache_stream_len)
-        report.cache_rounds += 1
-        if mismatch is not None:
-            report.failures.append(_cache_failure(case, seed, mismatch))
-            obs.metrics.counter("verify.failures").inc()
-            obs.remark(
-                "verify",
-                "rejected",
-                f"case {case}: cache engines diverge ({mismatch.detail})",
-                reason="engine-divergence",
-                case=case,
-                seed=seed,
-            )
-
-        # 4. Analytic locality prediction vs the exact trace.
-        divergence = check_locality(program)
-        report.locality_rounds += 1
-        report.locality_exact += int(_locality_path(program) == "exact")
-        if divergence is not None:
-            report.failures.append(
-                _locality_failure(case, seed, divergence, program)
-            )
-            obs.metrics.counter("verify.failures").inc()
-            obs.remark(
-                "verify",
-                "rejected",
-                f"case {case}: locality prediction diverges "
-                f"({divergence.where}: {divergence.detail})",
-                reason="locality-divergence",
-                case=case,
-                seed=seed,
-            )
-
-        # 5. Lint fix-its: legal, equivalent, and miss-monotone.
-        lint_mismatch = check_lint(program)
-        report.lint_rounds += 1
-        if lint_mismatch is not None:
-            report.failures.append(
-                _lint_failure(case, seed, lint_mismatch, program)
-            )
-            obs.metrics.counter("verify.failures").inc()
-            obs.remark(
-                "verify",
-                "rejected",
-                f"case {case}: lint invariant violated "
-                f"({lint_mismatch.where}: {lint_mismatch.detail})",
-                reason="lint-invariant",
-                case=case,
-                seed=seed,
-            )
-
-        # 6. Autotuner: legality-approved, miss-monotone, equivalent.
-        tune_mismatch = check_autotune(program)
-        report.tune_rounds += 1
-        if tune_mismatch is not None:
-            report.failures.append(
-                _tune_failure(case, seed, tune_mismatch, program)
-            )
-            obs.metrics.counter("verify.failures").inc()
-            obs.remark(
-                "verify",
-                "rejected",
-                f"case {case}: autotune invariant violated "
-                f"({tune_mismatch.where}: {tune_mismatch.detail})",
-                reason="autotune-invariant",
+                f"case {case}: {failure.headline()}",
+                reason=failure.reason,
+                transform=failure.transform,
                 case=case,
                 seed=seed,
             )
     return report
 
 
-def _locality_path(program: Program) -> str:
-    from repro.locality.analytic import predict_locality
-    from repro.verify.localitycheck import ORACLE_LINE
-
-    return "exact" if predict_locality(program, line=ORACLE_LINE).exact else "model"
-
-
-def _cache_failure(case: int, seed: int, mismatch: CacheMismatch) -> Failure:
-    head = ", ".join(map(str, mismatch.addresses[:12]))
-    return Failure(
-        case,
-        seed,
-        "cache",
-        f"cache-{mismatch.where}",
-        f"config={mismatch.config}",
-        "engine-divergence",
-        f"{mismatch.detail}; stream head: [{head} ...]",
-        None,
-    )
-
-
-def _locality_failure(
-    case: int, seed: int, mismatch: LocalityMismatch, program: Program
-) -> Failure:
-    return Failure(
-        case,
-        seed,
-        "locality",
-        f"locality-{mismatch.where}",
-        f"path={mismatch.path}",
-        "locality-divergence",
-        mismatch.detail,
-        program,
-    )
-
-
-def _lint_failure(
-    case: int, seed: int, mismatch: LintMismatch, program: Program
-) -> Failure:
-    return Failure(
-        case,
-        seed,
-        "lint",
-        f"lint-{mismatch.where}",
-        "",
-        "lint-invariant",
-        mismatch.detail,
-        program,
-    )
-
-
-def _tune_failure(
-    case: int, seed: int, mismatch: TuneMismatch, program: Program
-) -> Failure:
-    return Failure(
-        case,
-        seed,
-        "autotune",
-        f"autotune-{mismatch.where}",
-        "",
-        "autotune-invariant",
-        mismatch.detail,
-        program,
-    )
-
-
-def replay_case(seed: int, case: int, config: GenConfig = DEFAULT_CONFIG) -> bool:
+def replay_case(seed: int, case: int) -> bool:
     """Re-run one case and print its outcome; returns True when clean."""
-    program, results, missing = run_case(seed, case, config)
+    program, failures, tally = check_case(seed, case)
     print(pretty_program(program))
-    ok = True
-    if missing:
-        ok = False
-        print(f"dependence coverage FAILED: {len(missing)} uncovered, "
-              f"first {missing[0]}")
-    for result in results:
-        trial = result.trial
-        if result.is_failure:
-            ok = False
-            what = result.crashed or f"arrays differ: {', '.join(result.differing)}"
-            print(
-                f"FAIL {trial.transform} {trial.detail} "
-                f"(admitted by {trial.reason}): {what}"
-            )
-    mismatch = run_cache_check(_cache_rng(seed, case))
-    if mismatch is not None:
-        ok = False
-        print(f"cache engines diverge: {mismatch.detail}")
-    divergence = check_locality(program)
-    if divergence is not None:
-        ok = False
+    for failure in failures:
+        print(f"FAIL {failure.headline()}")
+    if not failures:
         print(
-            f"locality prediction diverges "
-            f"({divergence.where}, {divergence.path} path): {divergence.detail}"
+            f"case {case} (seed {seed}): all oracles clean "
+            f"({tally['trials']} trials)"
         )
-    lint_mismatch = check_lint(program)
-    if lint_mismatch is not None:
-        ok = False
-        print(
-            f"lint invariant violated "
-            f"({lint_mismatch.where}): {lint_mismatch.detail}"
-        )
-    tune_mismatch = check_autotune(program)
-    if tune_mismatch is not None:
-        ok = False
-        print(
-            f"autotune invariant violated "
-            f"({tune_mismatch.where}): {tune_mismatch.detail}"
-        )
-    if ok:
-        print(f"case {case} (seed {seed}): all oracles clean "
-              f"({len(results)} trials)")
-    return ok
+    return not failures

@@ -17,49 +17,35 @@ re-checks the autotuner's public promises from scratch:
   bit-identical final state at a shrunken problem size, independently of
   the search's own verification pass.
 
-A violation is returned as a :class:`TuneMismatch` for the fuzz runner
-to report; ``None`` means the case is clean.
+A violation is returned as a :class:`~repro.verify.oracles.Mismatch`
+for the fuzz runner to report; ``None`` means the case is clean. The
+search scores with the lint oracle's cache geometry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.errors import ReproError
+from repro.errors import ORACLE_FAILURES
 from repro.ir.nodes import Loop, Program
-from repro.verify.oracles import state_difference
+from repro.verify.lintcheck import MISS_EPS, ORACLE_CAPACITY, ORACLE_LINE
+from repro.verify.oracles import Mismatch, state_difference
 
-__all__ = ["TuneMismatch", "check_autotune", "ORACLE_LINE", "ORACLE_CAPACITY"]
-
-#: Cache geometry the oracle scores with (matches the lint fuzz oracle:
-#: small capacity so fuzz-sized programs have non-zero miss ratios).
-ORACLE_LINE = 128
-ORACLE_CAPACITY = 64
+__all__ = ["check_autotune"]
 
 #: Search budget per fuzz case — small, the programs have 1-3 nests.
 ORACLE_BUDGET = 24
-
-#: Slack when comparing predicted miss counts.
-_MISS_EPS = 1e-9
 
 #: Legality slugs the space enumeration is allowed to stamp on a plan.
 _APPROVED = frozenset({"original", "checked"})
 
 
-@dataclass(frozen=True)
-class TuneMismatch:
-    where: str  # "plan-legality" | "order-illegal" | "monotone" | "compound" | "state" | "crash"
-    detail: str
-
-
-def _audit_plans(result) -> TuneMismatch | None:
+def _audit_plans(result) -> Mismatch | None:
     """Re-check every candidate's per-nest legality provenance."""
     from repro.transforms.legality import constraining_vectors, order_is_legal
 
     for candidate in result.ranked:
         for plan in candidate.plans:
             if plan.legality not in _APPROVED:
-                return TuneMismatch(
+                return Mismatch(
                     "plan-legality",
                     f"candidate {candidate.describe()!r}: plan for nest "
                     f"{plan.slot} carries unapproved slug {plan.legality!r}",
@@ -76,7 +62,7 @@ def _audit_plans(result) -> TuneMismatch | None:
             # reorder flips a dependence and fails this audit.
             item = candidate.program.body[plan.slot]
             if not isinstance(item, Loop):
-                return TuneMismatch(
+                return Mismatch(
                     "plan-legality",
                     f"candidate {candidate.describe()!r}: plan slot "
                     f"{plan.slot} is not a loop nest",
@@ -84,7 +70,7 @@ def _audit_plans(result) -> TuneMismatch | None:
             chain = item.perfect_nest_loops()
             achieved = tuple(loop.var for loop in chain)
             if achieved != plan.order:
-                return TuneMismatch(
+                return Mismatch(
                     "plan-legality",
                     f"candidate {candidate.describe()!r}: plan claims order "
                     f"{plan.order}, nest has {achieved}",
@@ -92,7 +78,7 @@ def _audit_plans(result) -> TuneMismatch | None:
             vectors = constraining_vectors(item)
             back = [plan.order.index(var) for var in plan.original]
             if not order_is_legal(vectors, back):
-                return TuneMismatch(
+                return Mismatch(
                     "order-illegal",
                     f"candidate {candidate.describe()!r}: order "
                     f"{'.'.join(plan.order)} of nest {plan.slot} fails the "
@@ -101,8 +87,12 @@ def _audit_plans(result) -> TuneMismatch | None:
     return None
 
 
-def check_autotune(program: Program) -> TuneMismatch | None:
-    """Run a budgeted search over ``program`` and re-check its promises."""
+def check_autotune(program: Program) -> Mismatch | None:
+    """Run a budgeted search over ``program`` and re-check its promises.
+
+    A mismatch's ``where`` is one of ``plan-legality``, ``order-illegal``,
+    ``monotone``, ``compound``, ``state`` and ``crash``.
+    """
     from repro.autotune import autotune
 
     try:
@@ -119,8 +109,8 @@ def check_autotune(program: Program) -> TuneMismatch | None:
             return mismatch
         best, original = result.best, result.original
         assert best.cost is not None and original.cost is not None
-        if best.cost.misses > original.cost.misses + _MISS_EPS:
-            return TuneMismatch(
+        if best.cost.misses > original.cost.misses + MISS_EPS:
+            return Mismatch(
                 "monotone",
                 f"chosen config {best.describe()!r} predicts "
                 f"{best.cost.misses} misses vs original "
@@ -130,13 +120,13 @@ def check_autotune(program: Program) -> TuneMismatch | None:
         assert compound_cand.cost is not None
         compound_rejected = any(d == "compound" for d, _ in result.rejected)
         if (
-            best.cost.misses > compound_cand.cost.misses + _MISS_EPS
+            best.cost.misses > compound_cand.cost.misses + MISS_EPS
             and not compound_rejected
         ):
             # Dominance holds whenever the compound seed itself survived
             # the verification walk (it sits in the ranked pool, so the
             # first verified candidate can never score worse than it).
-            return TuneMismatch(
+            return Mismatch(
                 "compound",
                 f"chosen config {best.describe()!r} predicts "
                 f"{best.cost.misses} misses vs compound "
@@ -144,11 +134,11 @@ def check_autotune(program: Program) -> TuneMismatch | None:
             )
         differing = state_difference(program, best.program)
         if differing:
-            return TuneMismatch(
+            return Mismatch(
                 "state",
                 f"chosen config {best.describe()!r}: arrays differ: "
                 f"{differing}",
             )
-    except (ReproError, ArithmeticError, ValueError, IndexError, KeyError) as exc:
-        return TuneMismatch("crash", f"{type(exc).__name__}: {exc}")
+    except ORACLE_FAILURES as exc:
+        return Mismatch("crash", f"{type(exc).__name__}: {exc}")
     return None

@@ -16,8 +16,10 @@ from hypothesis import given, settings, strategies as st
 from repro.cache import CACHE2, CacheConfig, Hierarchy, SetAssocCache
 from repro.exec import (
     Interpreter,
+    Machine,
     compile_block_trace,
     run_program,
+    run_trace,
     simulate,
 )
 from repro.exec import blocktrace
@@ -460,6 +462,38 @@ class TestEngineSelection:
             b = simulate(program, init=entry.init, compiled=False)
             assert stats_tuple(a.cache) == stats_tuple(b.cache), entry.name
             assert (a.cycles, a.operations) == (b.cycles, b.operations)
+
+    def test_access_size_reaches_the_cache(self):
+        # 12-byte elements straddle 32-byte lines, so each engine must
+        # carry the access size: a stream of 1-byte accesses would touch
+        # one line per event.
+        from dataclasses import replace
+
+        program = parse_program(
+            """PROGRAM p
+PARAMETER N = 20
+REAL A(N,N), B(N,N)
+DO I = 1, N
+  DO J = 1, N
+    A(I,J) = A(I,J) + B(J,I)
+  ENDDO
+ENDDO
+END"""
+        )
+        program = replace(
+            program, arrays=tuple(replace(d, elem_size=12) for d in program.arrays)
+        )
+        sizes = {}
+        for compiled in (True, False):
+            chunks = []
+            run_trace(program, lambda b: chunks.append(b.sizes.copy()), compiled=compiled)
+            sizes[compiled] = np.concatenate(chunks)
+        assert np.array_equal(sizes[True], sizes[False])
+        machine = Machine(cache=CacheConfig("L32", size=1024, assoc=2, line=32))
+        block = simulate(program, machine, compiled=True).cache
+        interpreted = simulate(program, machine, compiled=False).cache
+        assert block == interpreted
+        assert block.accesses > len(sizes[True])
 
     def test_simulate_falls_back_to_interpreter(self, monkeypatch):
         from repro.obs import Obs, use_obs

@@ -1,9 +1,8 @@
-"""Tests for the framework extensions: tiling (§6), scalar replacement
-(step 3 of the paper's optimization framework), and skewing."""
+"""Tests for the framework extensions: tiling (§6) and scalar replacement
+(step 3 of the paper's optimization framework)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.cache import CACHE2, CacheConfig
 from repro.errors import TransformError
@@ -15,7 +14,6 @@ from repro.suite import matmul
 from repro.transforms import (
     choose_tile_loops,
     scalar_replace_program,
-    skew_loop,
     strip_mine,
     tile_nest,
 )
@@ -264,101 +262,3 @@ class TestScalarReplacement:
         assert result.replaced == 1
         assert after.accesses == before.accesses * 3 // 4 + 48 * 48
         assert after.cycles < before.cycles
-
-
-class TestSkewing:
-    def test_semantics_preserved(self):
-        prog = parse_program(
-            """
-            PROGRAM p
-            PARAMETER N = 10
-            REAL A(N,N)
-            DO I = 2, N
-              DO J = 2, N
-                A(I,J) = A(I-1,J) + A(I,J-1)
-              ENDDO
-            ENDDO
-            END
-            """
-        )
-        nest = prog.top_loops[0]
-        skewed = skew_loop(nest, "J", 1)
-        before = run_program(prog)
-        after = run_program(prog.with_body((skewed,)))
-        np.testing.assert_allclose(before["A"], after["A"], rtol=1e-12)
-
-    def test_bounds_and_subscripts_shift(self):
-        prog = parse_program(
-            """
-            PROGRAM p
-            PARAMETER N = 10
-            REAL A(N,N)
-            DO I = 1, N
-              DO J = 1, N
-                A(I,J) = A(I,J) * 2.0
-              ENDDO
-            ENDDO
-            END
-            """
-        )
-        skewed = skew_loop(prog.top_loops[0], "J", 2)
-        inner = skewed.body[0]
-        assert str(inner.lb) == "2*I+1"
-        assert str(inner.ub) == "2*I+N"
-        assert str(skewed.statements[0].lhs) == "A(I, -2*I+J)"
-
-    def test_zero_factor_noop(self):
-        nest = matmul(8, "IJK").top_loops[0]
-        assert skew_loop(nest, "J", 0) is nest
-
-    def test_unknown_inner_rejected(self):
-        nest = matmul(8, "IJK").top_loops[0]
-        with pytest.raises(TransformError):
-            skew_loop(nest, "Z", 1)
-
-    def test_skewing_enables_interchange(self):
-        # Wavefront deps (1,-1) and (1,1) block interchange; after
-        # skewing J by 1, the components become (1,0) and (1,2): fully
-        # permutable.
-        from repro.transforms import constraining_vectors, order_is_legal
-
-        prog = parse_program(
-            """
-            PROGRAM p
-            PARAMETER N = 12
-            REAL A(N,N)
-            DO I = 2, N - 1
-              DO J = 2, N - 1
-                A(I,J) = A(I-1,J+1) + A(I-1,J-1)
-              ENDDO
-            ENDDO
-            END
-            """
-        )
-        nest = prog.top_loops[0]
-        assert not order_is_legal(constraining_vectors(nest), [1, 0])
-        skewed = skew_loop(nest, "J", 1)
-        assert order_is_legal(constraining_vectors(skewed), [1, 0])
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(-3, 3))
-    def test_skew_any_factor_preserves_semantics(self, factor):
-        prog = parse_program(
-            """
-            PROGRAM p
-            PARAMETER N = 8
-            REAL A(N,N), B(N,N)
-            DO I = 2, N
-              DO J = 2, N
-                B(I,J) = A(I-1,J-1) + B(I,J-1)
-              ENDDO
-            ENDDO
-            END
-            """
-        )
-        nest = prog.top_loops[0]
-        skewed = skew_loop(nest, "J", factor)
-        before = run_program(prog)
-        after = run_program(prog.with_body((skewed,)))
-        for name in before:
-            np.testing.assert_allclose(before[name], after[name], rtol=1e-12)

@@ -3,7 +3,8 @@
 from repro.frontend import parse_program
 from repro.lint import Diagnostic, FixIt, LintResult
 from repro.suite import kernels
-from repro.verify.lintcheck import LintMismatch, check_lint
+from repro.verify.lintcheck import check_lint
+from repro.verify.oracles import Mismatch
 from repro.verify.runner import run_fuzz
 
 
@@ -41,7 +42,7 @@ class TestCheckLint:
 
         monkeypatch.setattr(lint_pkg, "lint_program", dishonest_lint)
         mismatch = check_lint(original)
-        assert isinstance(mismatch, LintMismatch)
+        assert isinstance(mismatch, Mismatch)
         assert mismatch.where == "fixit-state"
 
     def test_detects_unverified_fixit_on_warning(self, monkeypatch):
@@ -65,13 +66,23 @@ class TestCheckLint:
 
         monkeypatch.setattr(lint_pkg, "lint_program", sloppy_lint)
         mismatch = check_lint(original)
-        assert isinstance(mismatch, LintMismatch)
+        assert isinstance(mismatch, Mismatch)
         assert mismatch.where == "fixit-unverified"
 
 
 class TestRunnerIntegration:
-    def test_fuzz_report_counts_lint_rounds(self):
+    def test_fuzz_report_counts_lint_rounds(self, monkeypatch):
+        import repro.verify.runner as runner
+
+        checked = []
+
+        def spy(program, **kwargs):
+            checked.append(program.name)
+            return check_lint(program, **kwargs)
+
+        monkeypatch.setattr(runner, "check_lint", spy)
         report = run_fuzz(3, seed=0)
         assert report.ok, [f.repro_script() for f in report.failures]
-        assert report.lint_rounds == 3
+        assert report.cases == 3
+        assert checked == ["FUZZ0", "FUZZ1", "FUZZ2"]  # once per case
         assert "lint cross-check" in report.summary()

@@ -7,11 +7,11 @@ import pytest
 from repro.frontend import parse_program
 from repro.verify.localitycheck import (
     MODEL_CAPACITIES,
-    LocalityMismatch,
     check_locality,
 )
 from repro.seeds import seed_sequence
 from repro.verify.gennest import generate_program
+from repro.verify.oracles import Mismatch
 from repro.verify.runner import run_fuzz
 
 
@@ -65,7 +65,7 @@ ENDDO
 END"""
         )
         mismatch = check_locality(program)
-        assert isinstance(mismatch, LocalityMismatch)
+        assert isinstance(mismatch, Mismatch)
         assert mismatch.where == "model"
 
     def test_probed_capacities_are_sane(self):
@@ -73,8 +73,47 @@ END"""
 
 
 class TestRunnerIntegration:
-    def test_fuzz_report_counts_locality_rounds(self):
+    def test_fuzz_report_counts_locality_rounds(self, monkeypatch):
+        import repro.verify.runner as runner
+
+        checked = []
+
+        def spy(program, **kwargs):
+            checked.append(program.name)
+            return check_locality(program, **kwargs)
+
+        monkeypatch.setattr(runner, "check_locality", spy)
         report = run_fuzz(3, seed=0)
         assert report.ok, [f.repro_script() for f in report.failures]
-        assert report.locality_rounds == 3
+        assert report.cases == 3
+        assert checked == ["FUZZ0", "FUZZ1", "FUZZ2"]  # once per case
         assert "locality cross-check" in report.summary()
+
+    def test_locality_failure_shrinks(self, monkeypatch):
+        # A locality failure shrinks like a transform failure: the
+        # sabotaged predictor keeps failing the same envelope check on
+        # a smaller program.
+        import repro.verify.runner as runner
+        from repro.ir import pretty_program
+
+        real = runner.predict_locality
+
+        def all_cold(program, line=128, params=None):
+            prediction = real(program, line=line, params=params)
+            return type(prediction)(
+                program=prediction.program,
+                line=prediction.line,
+                accesses=prediction.accesses,
+                cold=prediction.accesses,
+                terms=(),
+                exact=False,
+            )
+
+        monkeypatch.setattr(runner, "predict_locality", all_cold)
+        report = run_fuzz(10, seed=0, shrink=True, max_failures=1)
+        failure = report.failures[0]
+        assert (failure.kind, failure.transform) == ("locality", "locality-model")
+        assert failure.shrunk is not None
+        assert len(pretty_program(failure.shrunk).splitlines()) < len(
+            pretty_program(failure.program).splitlines()
+        )

@@ -5,6 +5,8 @@ a deliberately broken legality check must be caught by the fuzzer, and
 the shrunken reproduction must stay under 10 pretty-printed lines.
 """
 
+import io
+from contextlib import redirect_stdout
 from unittest import mock
 
 import pytest
@@ -20,7 +22,7 @@ from repro.verify.oracles import (
     run_state,
     transform_trials,
 )
-from repro.verify.runner import run_fuzz
+from repro.verify.runner import replay_case, run_fuzz
 
 MATMUL = """
 PROGRAM MM
@@ -177,3 +179,41 @@ class TestMutationSmoke:
         report = run_fuzz(10, seed=0)
         assert report.ok, [f.repro_script() for f in report.failures]
         assert report.trials > 0 and report.accepted > 0
+
+
+class TestReplay:
+    def test_replay_checks_the_fuzzed_cache_streams(self, monkeypatch):
+        # The repro command a cache failure prints must re-check the very
+        # streams the fuzz run checked.
+        import repro.verify.cachecheck as cachecheck
+
+        streams = []
+        for name in ("check_cache_pair", "check_hierarchy_pair"):
+            real = getattr(cachecheck, name)
+
+            def recording(*args, real=real, name=name):
+                streams.append((name, list(args[-2])))
+                return real(*args)
+
+            monkeypatch.setattr(cachecheck, name, recording)
+        run_fuzz(1, seed=0)
+        fuzzed, streams[:] = list(streams), []
+        with redirect_stdout(io.StringIO()):
+            assert replay_case(seed=0, case=0)
+        assert [name for name, _ in fuzzed] == [
+            "check_cache_pair",
+            "check_hierarchy_pair",
+        ]
+        assert streams == fuzzed
+
+    def test_replay_fails_the_case_the_fuzzer_reported(self):
+        with mock.patch(
+            "repro.transforms.legality.order_is_legal",
+            lambda *args, **kwargs: True,
+        ):
+            report = run_fuzz(10, seed=0, max_failures=1)
+            failure = report.failures[0]
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert not replay_case(seed=failure.seed, case=failure.case)
+        assert f"FAIL {failure.headline()}" in out.getvalue()

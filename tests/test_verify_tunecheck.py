@@ -9,8 +9,9 @@ from repro.autotune.space import CHECKED, Candidate, NestPlan
 from repro.frontend import parse_program
 from repro.model.oracle import OracleCost, canonical_key
 from repro.suite import kernels
+from repro.verify.oracles import Mismatch
 from repro.verify.runner import run_fuzz
-from repro.verify.tunecheck import TuneMismatch, check_autotune
+from repro.verify.tunecheck import check_autotune
 
 
 def _program(body):
@@ -57,7 +58,7 @@ class TestCheckAutotune:
             tune_pkg, "autotune", _fake_autotune(replace(result, best=worse))
         )
         mismatch = check_autotune(program)
-        assert isinstance(mismatch, TuneMismatch)
+        assert isinstance(mismatch, Mismatch)
         assert mismatch.where == "monotone"
 
     def test_detects_unapproved_legality_slug(self, monkeypatch):
@@ -76,7 +77,7 @@ class TestCheckAutotune:
         )
         monkeypatch.setattr(tune_pkg, "autotune", _fake_autotune(doctored))
         mismatch = check_autotune(program)
-        assert isinstance(mismatch, TuneMismatch)
+        assert isinstance(mismatch, Mismatch)
         assert mismatch.where == "plan-legality"
 
     def test_detects_illegal_reorder(self, monkeypatch):
@@ -104,7 +105,7 @@ class TestCheckAutotune:
         doctored = replace(result, best=lying, ranked=(lying,))
         monkeypatch.setattr(tune_pkg, "autotune", _fake_autotune(doctored))
         mismatch = check_autotune(original)
-        assert isinstance(mismatch, TuneMismatch)
+        assert isinstance(mismatch, Mismatch)
         assert mismatch.where == "order-illegal"
 
     def test_detects_state_mismatch(self, monkeypatch):
@@ -130,7 +131,7 @@ class TestCheckAutotune:
         )
         monkeypatch.setattr(tune_pkg, "autotune", _fake_autotune(doctored))
         mismatch = check_autotune(program)
-        assert isinstance(mismatch, TuneMismatch)
+        assert isinstance(mismatch, Mismatch)
         assert mismatch.where == "state"
 
     def test_crashes_are_reported_not_raised(self, monkeypatch):
@@ -141,14 +142,24 @@ class TestCheckAutotune:
 
         monkeypatch.setattr(tune_pkg, "autotune", exploding)
         mismatch = check_autotune(_program(NEST))
-        assert isinstance(mismatch, TuneMismatch)
+        assert isinstance(mismatch, Mismatch)
         assert mismatch.where == "crash"
         assert "boom" in mismatch.detail
 
 
 class TestRunnerIntegration:
-    def test_fuzz_report_counts_tune_rounds(self):
+    def test_fuzz_report_counts_tune_rounds(self, monkeypatch):
+        import repro.verify.runner as runner
+
+        checked = []
+
+        def spy(program, **kwargs):
+            checked.append(program.name)
+            return check_autotune(program, **kwargs)
+
+        monkeypatch.setattr(runner, "check_autotune", spy)
         report = run_fuzz(3, seed=0)
         assert report.ok, [f.repro_script() for f in report.failures]
-        assert report.tune_rounds == 3
+        assert report.cases == 3
+        assert checked == ["FUZZ0", "FUZZ1", "FUZZ2"]  # once per case
         assert "autotune cross-check" in report.summary()
