@@ -9,9 +9,8 @@ for the cost model's ``RefGroup`` but never constrain legality.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.ir.expr import Ref
 from repro.ir.nodes import Assign, Loop, Program
@@ -155,8 +154,6 @@ def _pair_dependences(
                 continue  # each unordered pair once
             if not (site_a.is_write or site_b.is_write):
                 if not include_inputs:
-                    continue
-                if site_a.ref.array != site_b.ref.array:
                     continue
             if site_a.ref.array != site_b.ref.array:
                 continue

@@ -7,9 +7,17 @@ Tseng [GKT91], the analysis the paper builds on:
 * **strong-SIV distance pinning**: dimensions of the form
   ``a*i + c1 = a*i' + c2`` fix the dependence distance exactly, producing
   the paper's hybrid *distance*/direction vectors;
-* **Fourier-Motzkin feasibility** over the exact iteration-space
-  constraints for the remaining direction-vector hierarchy, handling
-  triangular bounds precisely and symbolic bounds conservatively.
+* a **closed form for separable pairs**: when both references share all
+  their loops, every loop steps by +-1, no bound names a loop of the
+  chain, and every subscript difference is zero or strong SIV (so every
+  loop it reads is pinned), the answer is one vector, the pinned
+  distances with '*' elsewhere, or none when ``_strengthen`` refutes the
+  per-loop span constraints;
+* **Fourier-Motzkin feasibility** for every other pair (one-sided,
+  strided, triangular, coupled, symbolic offsets) over the exact
+  iteration-space constraints and the remaining direction-vector
+  hierarchy, handling triangular bounds precisely and symbolic bounds
+  conservatively. It is also the closed form's oracle in the tests.
 
 Distances and directions are expressed in *loop index value* space
 (divided by the step, so components count iterations): this is the space
@@ -317,6 +325,45 @@ def _analyze_ref_pair_impl(
     only_b: Sequence[Loop],
     metrics,
 ) -> list[DepVector]:
+    system = _pair_system(ref_a, ref_b, common, only_a, only_b, metrics)
+    if isinstance(system, list):
+        return system
+    vectors = _closed_form_vectors(system)
+    if vectors is None:
+        return _fme_vectors(system)
+    metrics.counter("dep.pairs.closed_form").inc()
+    return vectors
+
+
+@dataclass
+class _PairSystem:
+    """A screened pair with its strong-SIV distances pinned.
+
+    Holds what both answers read: the closed form for separable pairs
+    (:func:`_closed_form_vectors`) and FME for the rest
+    (:func:`_fme_vectors`).
+    """
+
+    sides_a: list[_SideLoop]  # the common loops, side A
+    all_sides: list[_SideLoop]
+    diffs: list[Affine]  # subscript differences B - A, each == 0
+    values_a: list[str]
+    values_b: list[str]
+    steps: list[int]
+    variables: set[str]  # every loop value and stride counter
+    pinned: dict[int, int]  # common level -> iteration distance
+    separable: bool  # every diff is zero or strong SIV on a pinned level
+
+
+def _pair_system(
+    ref_a: Ref,
+    ref_b: Ref,
+    common: Sequence[Loop],
+    only_a: Sequence[Loop],
+    only_b: Sequence[Loop],
+    metrics,
+) -> "_PairSystem | list[DepVector]":
+    """Rename, screen and pin; a list when screening already decides."""
     if ref_a.array != ref_b.array:
         return []
     if ref_a.rank != ref_b.rank:
@@ -354,6 +401,7 @@ def _analyze_ref_pair_impl(
 
     # --- strong-SIV distance pinning ------------------------------------
     pinned: dict[int, int] = {}
+    separable = True
     for diff in diffs:
         for l in range(k):
             alpha = diff.coeff(values_a[l])
@@ -382,6 +430,69 @@ def _analyze_ref_pair_impl(
             if u is not None and abs(delta) > u:
                 return []
             pinned[l] = delta
+            break  # only the loop the diff reads can match
+        else:
+            # A zero diff (the screen refuted non-zero constants) leaves
+            # the pair separable; any other unpinned diff does not.
+            separable = separable and not diff.terms
+
+    return _PairSystem(
+        side_common_a,
+        all_sides,
+        diffs,
+        values_a,
+        values_b,
+        steps,
+        variables,
+        pinned,
+        separable,
+    )
+
+
+def _closed_form_vectors(system: _PairSystem) -> list[DepVector] | None:
+    """The pair's vectors without FME, or None when the pair needs FME.
+
+    Applies when the pair is separable (every subscript difference is
+    zero or the strong-SIV form that pinned its loop), both references
+    share all their loops, every loop steps by +-1, and no bound names a
+    loop of the chain. The system then splits into one block per loop,
+    which FME reduces to its span constraint ``span_l - |d_l| >= 0``
+    (``d_l = 0`` for a loop the subscripts leave free, whose component is
+    '*'). ``_strengthen`` refutes the same cross-loop pairs of those
+    constraints FME would, e.g. an empty ``DO J = N, 1`` beside
+    ``DO I = 1, N``.
+    """
+    k = len(system.sides_a)
+    if not system.separable or len(system.all_sides) != 2 * k:
+        return None  # coupled, symbolic or one-sided
+    chain = set(system.values_a)
+    spans: list[Affine] = []
+    for l, side in enumerate(system.sides_a):
+        if side.aux is not None:
+            return None
+        if not chain.isdisjoint(side.lb_res.names | side.ub_res.names):
+            return None  # a bound reads the chain: triangular
+        if side.step > 0:
+            span = side.ub_res - side.lb_res
+        else:
+            span = side.lb_res - side.ub_res
+        spans.append(span - abs(system.pinned.get(l, 0)))
+    if _strengthen(spans) is None:
+        return []
+    pinned = system.pinned
+    return [DepVector(tuple(pinned.get(l, DIR_STAR) for l in range(k)))]
+
+
+def _fme_vectors(system: _PairSystem) -> list[DepVector]:
+    """The direction hierarchy of the pair, each node checked by FME."""
+    all_sides = system.all_sides
+    diffs = system.diffs
+    values_a = system.values_a
+    values_b = system.values_b
+    steps = system.steps
+    variables = system.variables
+    pinned = system.pinned
+    k = len(values_a)
 
     # --- which remaining loops actually constrain the subscripts --------
     def loop_appears(l: int) -> bool:

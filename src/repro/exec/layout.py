@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 from repro.errors import ExecutionError
 from repro.ir.affine import Affine
 from repro.ir.expr import Ref
-from repro.ir.nodes import ArrayDecl, Program
+from repro.ir.nodes import Program
 
 __all__ = ["ArrayLayout", "MemoryLayout"]
 

@@ -5,18 +5,17 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.cache import CACHE1, CACHE2, SPARC2, CacheConfig, SetAssocCache
 from repro.errors import TransformError
-from repro.exec import Machine, PerfResult, run_trace, simulate
+from repro.exec import Machine, run_trace
 from repro.ir.nodes import Loop, Program
 from repro.ir.visit import enclosing_loops, iter_statements
 from repro.model import CostModel
 from repro.obs import Obs, get_obs, use_obs
-from repro.transforms import apply_order, compound, fuse_all
+from repro.transforms import apply_order, compound
 
 __all__ = [
     "MACHINE1",

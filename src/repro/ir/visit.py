@@ -6,7 +6,7 @@ and immutable, and most analyses want simple generators or index maps.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 from repro.errors import IRError
 from repro.ir.affine import Affine, as_affine

@@ -1,9 +1,13 @@
 """Tests for dependence analysis: unit cases, paper examples, and
 brute-force soundness checks (including a hypothesis property)."""
 
+import random
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dependence import tests as dep_tests
 from repro.dependence import (
     ANTI,
     FLOW,
@@ -15,8 +19,14 @@ from repro.dependence import (
 )
 from repro.frontend import parse_program
 from repro.ir import Affine, Loop, Ref
-
+from repro.ir.visit import iter_loops
+from repro.model.loopcost import CostModel
+from repro.model.memo import registered_caches
+from repro.obs import Obs, use_obs
+from repro.suite import get_set, matmul
+from repro.transforms.compound import compound
 from repro.verify.depforce import analysis_covers, brute_force_dependences
+from repro.verify.gennest import generate_program
 
 
 def loops(*specs):
@@ -455,3 +465,147 @@ class TestClassicSIVCases:
             Ref.make("A", "I", "J"), Ref.make("A", "I-1", "J+1"), [outer, inner]
         )
         assert vecs == [DepVector.of(1, -1)]
+
+
+# ----------------------------------------------------------------------
+# Closed-form pairs, checked against the Fourier-Motzkin oracle
+# ----------------------------------------------------------------------
+def closed_and_fme(ref_a, ref_b, common, only_a=()):
+    """(closed form or None, FME vectors) of one pair screening left open."""
+    system = dep_tests._pair_system(
+        ref_a, ref_b, common, only_a, (), dep_tests._KindRecorder()
+    )
+    assert not isinstance(system, list), "screening decided the pair"
+    return dep_tests._closed_form_vectors(system), dep_tests._fme_vectors(system)
+
+
+@contextmanager
+def recorded_pairs():
+    """Collect the arguments of every pair analysed inside the block.
+
+    The pair memo is cleared first so that every analysis is recorded.
+    """
+    seen = []
+    real = dep_tests._analyze_ref_pair_impl
+
+    def record(ref_a, ref_b, common, only_a, only_b, metrics):
+        seen.append((ref_a, ref_b, tuple(common), tuple(only_a), tuple(only_b)))
+        return real(ref_a, ref_b, common, only_a, only_b, metrics)
+
+    dep_tests._pair_cache().clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dep_tests, "_analyze_ref_pair_impl", record)
+        yield seen
+
+
+def closed_form_mismatches(pairs):
+    """Eligible-pair count, and each pair whose closed form differs from FME."""
+    eligible, wrong = 0, []
+    for args in pairs:
+        system = dep_tests._pair_system(*args, dep_tests._KindRecorder())
+        if isinstance(system, list):
+            continue
+        closed = dep_tests._closed_form_vectors(system)
+        if closed is None:
+            continue
+        eligible += 1
+        fme = dep_tests._fme_vectors(system)
+        if closed != fme:
+            wrong.append((args, closed, fme))
+    return eligible, wrong
+
+
+class TestClosedFormPairs:
+    def test_symbolically_empty_loop_refutes(self):
+        # Distance 1 on I needs N >= 2; DO J = N, 1 runs only for N <= 1.
+        common = [Loop.make("I", 1, "N", []), Loop.make("J", "N", 1, [])]
+        a, b = Ref.make("A", "I", "J"), Ref.make("A", "I-1", "J")
+        assert closed_and_fme(a, b, common) == ([], [])
+        assert analyze_ref_pair(a, b, common) == []
+        # At distance 0 both loops run once when N = 1.
+        same = [DepVector.of(0, 0)]
+        assert closed_and_fme(a, a, common) == (same, same)
+
+    def test_negative_step(self):
+        common = [Loop.make("I", "N", 1, [], step=-1)]
+        a, b = Ref.make("A", "I"), Ref.make("A", "I+1")
+        one = [DepVector.of(1)]
+        assert closed_and_fme(a, b, common) == (one, one)
+
+    def test_free_loop_is_star(self):
+        common = loops(("I", 1, "N"), ("J", 1, 8), ("K", 2, "M"))
+        a, b = Ref.make("A", "K", "I"), Ref.make("A", "K-1", "I+2")
+        vec = [DepVector.of(-2, "*", 1)]
+        assert closed_and_fme(a, b, common) == (vec, vec)
+
+    def test_distance_beyond_constant_trip(self):
+        # Separable, but pinning refutes it first: |5| exceeds I's trip.
+        common = loops(("I", 1, 3), ("J", 1, "N"))
+        a, b = Ref.make("A", "I", "J"), Ref.make("A", "I-5", "J")
+        assert analyze_ref_pair(a, b, common) == []
+
+    @pytest.mark.parametrize(
+        "a,b,common,only_a",
+        [
+            ("I", "I-4", [Loop.make("I", 1, 20, [], step=2)], ()),
+            ("I+M", "I", loops(("I", 1, "N")), ()),
+            # Distance 3 on J needs I >= 4: only FME sees the coupling.
+            (
+                ("I", "J"),
+                ("I", "J-3"),
+                [Loop.make("I", 1, 3, []), Loop.make("J", 1, "I", [])],
+                (),
+            ),
+            ("I+J", "I+J", loops(("I", 1, 10), ("J", 1, 10)), ()),
+            ("I", "I-1", loops(("I", 1, "N")), loops(("J", 1, "N"))),
+        ],
+        ids=["strided", "symbolic-offset", "triangular", "coupled", "only-a"],
+    )
+    def test_falls_through_to_fme(self, a, b, common, only_a):
+        ref_a = Ref.make("A", *(a if isinstance(a, tuple) else (a,)))
+        ref_b = Ref.make("A", *(b if isinstance(b, tuple) else (b,)))
+        closed, fme = closed_and_fme(ref_a, ref_b, common, only_a)
+        assert closed is None
+        assert analyze_ref_pair(ref_a, ref_b, common, only_a) == fme
+
+    def test_registry_pairs_match_fme(self):
+        # Every pair the compile op analyses (compound, plus the original
+        # and optimized programs' dependences with inputs), per program
+        # from cold memo caches, for all entries at three sizes.
+        with recorded_pairs() as seen:
+            for instance in ("mini", "small", "medium"):
+                for entry in get_set("all").entries():
+                    for cache in registered_caches().values():
+                        cache.clear()
+                    program = entry.program(instance=instance)
+                    out = compound(program, CostModel(cls=16)).program
+                    region_dependences(program, include_inputs=True)
+                    region_dependences(out, include_inputs=True)
+        eligible, wrong = closed_form_mismatches(seen)
+        assert wrong == []
+        assert eligible > 2000
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_gennest_pairs_match_fme(self, seed):
+        program = generate_program(random.Random(seed))
+        with recorded_pairs() as seen:
+            region_dependences(program, include_inputs=True)
+            for loop in iter_loops(program):
+                region_dependences(loop, include_inputs=True)
+        assert closed_form_mismatches(seen)[1] == []
+
+    def test_closed_form_counter_replays_on_cache_hits(self):
+        program = matmul(12, "IJK")
+
+        def counters():
+            with use_obs(Obs()) as obs:
+                region_dependences(program, include_inputs=True)
+                return obs.metrics.snapshot()["counters"]
+
+        dep_tests._pair_cache().clear()
+        cold = counters()
+        warm = counters()
+        assert warm.get("dep.cache.misses", 0) == 0
+        assert cold["dep.pairs.closed_form"] > 0
+        assert warm["dep.pairs.closed_form"] == cold["dep.pairs.closed_form"]

@@ -4,9 +4,9 @@
 import numpy as np
 import pytest
 
-from repro.cache import CACHE2, CacheConfig
+from repro.cache import CACHE2
 from repro.errors import TransformError
-from repro.exec import Interpreter, Machine, run_program, simulate
+from repro.exec import Machine, run_program, simulate
 from repro.frontend import parse_program
 from repro.ir import iter_loops, pretty_program
 from repro.model import CostModel
