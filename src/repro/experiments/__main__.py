@@ -13,7 +13,7 @@ prints the hierarchical phase profile (wall + CPU + peak memory) to
 stderr after the tables. ``--jobs N`` shards the per-kernel simulations
 of the table experiments across N worker processes (equivalent to
 setting ``REPRO_JOBS=N``); results are identical to a serial run, and
-worker metrics/spans merge back shard-deduplicated.
+each worker's metrics, remarks and spans merge back once.
 
 Every invocation appends a run record to ``.repro/ledger.jsonl``
 (``--no-ledger`` or ``REPRO_LEDGER=0`` skips it); render the history

@@ -170,8 +170,9 @@ def _shard_worker(payload):
 
     Returns ``(shard_index, result, metrics, remarks, spans)`` — all
     picklable — so the parent can merge the worker's observations into
-    its own context. Worker spans are tagged with the worker pid and the
-    shard index (the Perfetto worker lane; see ``obs/chrometrace.py``).
+    its own context with :meth:`Obs.merge`. Worker spans are tagged with
+    the worker pid and the shard index (the Perfetto worker lane; see
+    ``obs/chrometrace.py``).
     """
     fn, args, shard_index, observed, profile, capture = payload
     if not observed:
@@ -194,13 +195,13 @@ def run_sharded(
     ``fn`` and every argument must be picklable (module-level functions
     and plain data — pass suite-entry *names*, not entries). Each worker
     runs under a fresh :class:`repro.obs.Obs`; when the parent context is
-    enabled, the workers' metrics, remarks, AND spans are merged back
-    into it — spans grafted under the ``experiment.sharded`` span with
-    (pid, shard) provenance — so observability output is identical to a
-    serial run up to span nesting. Merging goes through
-    ``Obs.merge_shard``, which is idempotent per shard index: a shard
-    resubmitted after a pool retry is recorded in the metrics ``shards``
-    dimension but never double-counted in parent totals.
+    enabled, each worker's metrics, remarks, AND spans are merged back
+    into it exactly once with :meth:`Obs.merge` — spans grafted under
+    the ``experiment.sharded`` span with (pid, shard) provenance — and
+    every call in a process adds its own. Counters, remarks and span
+    names match a serial run's apart from that span (its ``shards`` and
+    ``jobs`` attributes record what ran) and from memo-cache work: each
+    worker starts from the caches its pool was forked with.
 
     With ``return_exceptions=True`` an exception raised by one call —
     serial or sharded — is captured as a :class:`ShardFailure` in that
@@ -213,9 +214,6 @@ def run_sharded(
     obs = get_obs()
     if jobs <= 1 or len(calls) <= 1:
         return [_call_captured(fn, args, return_exceptions) for args in calls]
-    if obs.enabled:
-        obs.metrics.counter("experiment.shards").inc(len(calls))
-        obs.metrics.gauge("experiment.jobs").set(min(jobs, len(calls)))
     profile = bool(getattr(obs.tracer, "profile", False))
     payloads = [
         (fn, args, index, obs.enabled, profile, return_exceptions)
@@ -227,14 +225,9 @@ def run_sharded(
         results = [None] * len(calls)
         for shard_index, result, metrics, remarks, spans in shards:
             results[shard_index] = result
-            if obs.enabled and metrics is not None:
-                obs.merge_shard(
-                    f"shard-{shard_index}",
-                    metrics,
-                    remarks=remarks,
-                    spans=spans,
-                    parent=sharded,
-                    shard=shard_index,
+            if metrics is not None:
+                obs.merge(
+                    metrics, remarks, spans, parent=sharded, shard=shard_index
                 )
     return results
 

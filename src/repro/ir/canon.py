@@ -16,10 +16,12 @@ that equivalence:
   names and values, because they change trip counts and footprints.
 
 :func:`canonical_text` is the round-trippable pretty text of that
-canonical form and :func:`content_digest` its SHA-256 key. The oracle
-layer's ``canonical_key`` (exact pretty text) remains the right key for
-*intra-process* memoization where renames are impossible; this module is
-the stricter cross-request key.
+canonical form and :func:`content_digest` its SHA-256 key;
+:func:`canonical_digest` is the same key for a program already in
+canonical form, so a caller holding that form does not build it twice.
+The oracle layer's ``canonical_key`` (exact pretty text) remains the
+right key for *intra-process* memoization where renames are impossible;
+this module is the stricter cross-request key.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.ir.visit import rename_loops
 
 __all__ = [
     "CANONICAL_NAME",
+    "canonical_digest",
     "canonical_program",
     "canonical_text",
     "content_digest",
@@ -98,6 +101,11 @@ def canonical_text(program: Program) -> str:
     return pretty_program(canonical)
 
 
+def canonical_digest(canonical: Program) -> str:
+    """The content key of a program already in canonical form."""
+    return hashlib.sha256(pretty_program(canonical).encode()).hexdigest()[:16]
+
+
 def content_digest(program: Program) -> str:
     """Stable hex content key of the nest's canonical form (16 chars)."""
-    return hashlib.sha256(canonical_text(program).encode()).hexdigest()[:16]
+    return canonical_digest(canonical_program(program)[0])

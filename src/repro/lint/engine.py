@@ -218,6 +218,7 @@ class FixOutcome:
     program: Program
     applied: tuple[AppliedFix, ...]
     result: LintResult  # lint of the final program
+    initial: LintResult  # lint of the input program (the first round)
 
 
 def apply_fixes(
@@ -241,7 +242,7 @@ def apply_fixes(
     current = program
     applied: list[AppliedFix] = []
     seen = {pretty_program(program)}
-    result = lint_program(
+    result = initial = lint_program(
         current, model=model, checks=checks, verify=True, line=line, capacity=capacity
     )
     for _round in range(max_rounds):
@@ -284,4 +285,6 @@ def apply_fixes(
             line=line,
             capacity=capacity,
         )
-    return FixOutcome(program=current, applied=tuple(applied), result=result)
+    return FixOutcome(
+        program=current, applied=tuple(applied), result=result, initial=initial
+    )

@@ -53,8 +53,8 @@ class MemoCache:
     server's result cache, or oracles queried from executor threads —
     conserves its counters exactly: ``hits + misses`` always equals the
     number of counted lookups, and eviction accounting never tears.
-    Cross-*process* stats stay consistent through the obs shard-merge
-    path (each worker's counters merge exactly once; see
+    Cross-*process* stats stay consistent because each worker's
+    counters merge into the parent once (``Obs.merge``; see
     ``repro.experiments.common.run_sharded``).
     """
 

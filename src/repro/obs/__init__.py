@@ -9,7 +9,7 @@ The observability layer for the whole pipeline, in the spirit of LLVM's
   and (pid, shard) provenance for process-pool merging;
 * :class:`MetricsRegistry` — counters, gauges, and exact histograms
   (dependence tests by kind, RefGroup sizes, cache accesses/misses, ...),
-  with shard-deduplicating merge for ``--jobs`` workers;
+  merged by plain addition from ``--jobs`` workers (:meth:`Obs.merge`);
 * :class:`Remark` — structured applied/rejected/analysis records from
   every transformation pass;
 * :class:`Obs` — the bundle installed via :func:`set_obs` /

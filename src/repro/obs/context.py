@@ -28,6 +28,10 @@ request's ``use_obs`` can never leak spans or remarks into another's.
 ``asyncio.to_thread`` and ``contextvars.copy_context`` propagate the
 installed context into workers; bare ``threading.Thread`` targets start
 from the default (disabled) context.
+
+Observations made in another context — a ``--jobs`` worker process, a
+server compile job — come back as plain data and are adopted with
+:meth:`Obs.merge`: one plain merge per offer, no keys, no dedup.
 """
 
 from __future__ import annotations
@@ -65,31 +69,24 @@ class Obs:
     def span(self, name: str, **attrs):
         return self.tracer.span(name, **attrs)
 
-    def merge_shard(
+    def merge(
         self,
-        key: str,
-        metrics: "MetricsRegistry | None" = None,
+        metrics: MetricsRegistry,
         remarks=(),
         spans=(),
         parent=None,
         shard: int | None = None,
-    ) -> bool:
-        """Adopt one worker shard's observations, exactly once per key.
+    ) -> None:
+        """Adopt another context's observations (e.g. a worker's).
 
-        Metrics merge through :meth:`MetricsRegistry.merge_shard` (a
-        retried shard is recorded in the ``shards`` dimension but not
-        double-counted); remarks append and spans graft under ``parent``
-        only on the first offer. Returns whether the shard was new.
+        Counters add through :meth:`MetricsRegistry.merge`, remarks
+        append, and spans graft under ``parent`` with ``shard`` stamped
+        on them (see :meth:`Tracer.graft`). Every call adds: merging the
+        same observations twice counts them twice.
         """
-        fresh = (
-            self.metrics.merge_shard(key, metrics)
-            if metrics is not None
-            else self.metrics.merge_shard(key, MetricsRegistry())
-        )
-        if fresh:
-            self.remarks.extend(remarks)
-            self.tracer.graft(spans, parent=parent, shard=shard)
-        return fresh
+        self.metrics.merge(metrics)
+        self.remarks.extend(remarks)
+        self.tracer.graft(spans, parent=parent, shard=shard)
 
     def remark(
         self,
@@ -134,10 +131,6 @@ class _NullObs:
 
     def remarks_for(self, pass_name: str) -> list:
         return []
-
-    def merge_shard(self, key, metrics=None, remarks=(), spans=(),
-                    parent=None, shard=None) -> bool:
-        return False
 
 
 NULL_OBS = _NullObs()

@@ -18,15 +18,14 @@ One record per line, each tagged with a ``type``:
 ``histogram``
     ``{"type", "name", "count", "total", "min", "max", "buckets"}``
     with bucket keys stringified (JSON objects key on strings).
-``shards``
-    ``{"type": "shards", "shards": {key: offer_count}}`` — present only
-    when worker-shard registries were merged into this context.
 
 :func:`read_jsonl` reconstructs the stream into an :class:`ObsData`
 bundle of ``Span``/``Remark`` objects and a ``MetricsRegistry``, so a
 trace file round-trips: ``write_jsonl(obs, p); read_jsonl(p)`` preserves
 every remark, span relationship, and metric value. Schema-1 files (no
-profiling fields) still read back cleanly.
+profiling fields) still read back cleanly, and record types this reader
+does not know (such as the ``shards`` records of older traces) are
+skipped.
 """
 
 from __future__ import annotations
@@ -85,8 +84,6 @@ def obs_records(obs: Obs) -> Iterator[dict]:
             "max": data["max"],
             "buckets": {str(k): v for k, v in data["buckets"].items()},
         }
-    if snapshot.get("shards"):
-        yield {"type": "shards", "shards": snapshot["shards"]}
 
 
 def write_jsonl(obs: Obs, destination: "str | IO[str]") -> int:
@@ -164,8 +161,6 @@ def read_jsonl(source: "str | IO[str]") -> ObsData:
             histogram = data.metrics.histogram(record["name"])
             for key, count in (record.get("buckets") or {}).items():
                 histogram.record(_bucket_key(key), count)
-        elif kind == "shards":
-            data.metrics.shards.update(record.get("shards") or {})
     return data
 
 

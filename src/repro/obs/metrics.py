@@ -107,10 +107,6 @@ class MetricsRegistry:
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
-        #: shard key -> number of times that shard's registry was offered
-        #: for merging (values > 1 mean a retried/duplicate shard whose
-        #: counters were deliberately NOT re-added; see merge_shard).
-        self.shards: dict[str, int] = {}
 
     # -- creation-on-first-use lookups ---------------------------------
     def counter(self, name: str) -> Counter:
@@ -141,34 +137,11 @@ class MetricsRegistry:
             self.gauge(name).set(gauge.value)
         for name, histogram in other.histograms.items():
             self.histogram(name).merge(histogram)
-        for key, count in getattr(other, "shards", {}).items():
-            self.shards[key] = self.shards.get(key, 0) + count
         return self
-
-    def merge_shard(self, key: str, other: "MetricsRegistry") -> bool:
-        """Merge one worker shard's registry exactly once.
-
-        ``key`` identifies the shard (stable across retries, e.g.
-        ``"shard-3"``). The first offer merges and returns True; repeat
-        offers — a shard resubmitted after a retry — are counted in
-        :attr:`shards` but NOT merged again, so parent totals are never
-        double-counted. Rendered metrics surface the shard dimension.
-        """
-        seen = self.shards.get(key, 0)
-        self.shards[key] = seen + 1
-        if seen:
-            return False
-        for name, counter in other.counters.items():
-            self.counter(name).inc(counter.value)
-        for name, gauge in other.gauges.items():
-            self.gauge(name).set(gauge.value)
-        for name, histogram in other.histograms.items():
-            self.histogram(name).merge(histogram)
-        return True
 
     def snapshot(self) -> dict:
         """Plain-data view of every instrument (JSON-ready)."""
-        snapshot = {
+        return {
             "counters": {n: c.value for n, c in sorted(self.counters.items())},
             "gauges": {n: g.value for n, g in sorted(self.gauges.items())},
             "histograms": {
@@ -182,9 +155,6 @@ class MetricsRegistry:
                 for n, h in sorted(self.histograms.items())
             },
         }
-        if self.shards:
-            snapshot["shards"] = dict(sorted(self.shards.items()))
-        return snapshot
 
     def __iter__(self) -> Iterator:
         yield from self.counters.values()
@@ -225,7 +195,6 @@ class NullMetrics:
     counters: Mapping = {}
     gauges: Mapping = {}
     histograms: Mapping = {}
-    shards: Mapping = {}
 
     def counter(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT
@@ -238,9 +207,6 @@ class NullMetrics:
 
     def merge(self, other) -> "NullMetrics":
         return self
-
-    def merge_shard(self, key: str, other) -> bool:
-        return False
 
     def snapshot(self) -> dict:
         return {"counters": {}, "gauges": {}, "histograms": {}}

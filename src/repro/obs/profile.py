@@ -52,7 +52,7 @@ PHASE_COUNTERS: Mapping[str, tuple[str, ...]] = {
 
 
 class _Node:
-    __slots__ = ("name", "calls", "wall", "cpu", "mem", "shards", "children")
+    __slots__ = ("name", "calls", "wall", "cpu", "mem", "lanes", "children")
 
     def __init__(self, name: str):
         self.name = name
@@ -60,7 +60,7 @@ class _Node:
         self.wall = 0.0
         self.cpu: float | None = None
         self.mem: int | None = None
-        self.shards: set = set()
+        self.lanes: set = set()  # worker-shard indices seen
         self.children: dict[str, "_Node"] = {}
 
     def child(self, name: str) -> "_Node":
@@ -77,7 +77,7 @@ class _Node:
         if span.mem_peak is not None:
             self.mem = max(self.mem or 0, span.mem_peak)
         if span.shard is not None:
-            self.shards.add(span.shard)
+            self.lanes.add(span.shard)
 
 
 def aggregate_spans(spans: Sequence[Span]) -> _Node:
@@ -132,7 +132,7 @@ def render_profile(
             else ""
         )
         cpu = f"{node.cpu * 1e3:10.3f}" if node.cpu is not None else f"{'':>10}"
-        shard_tag = f" [{len(node.shards)} shards]" if node.shards else ""
+        shard_tag = f" [{len(node.lanes)} shards]" if node.lanes else ""
         lines.append(
             f"  {label:<36} {node.calls:>5} {node.wall * 1e3:10.3f} {cpu} "
             f"{_fmt_mem(node.mem):>10} {share:>9}{shard_tag}"
@@ -160,11 +160,4 @@ def render_profile(
             lines.append("")
             lines.append("  phase attribution")
             lines.extend(attributed)
-        shards = snapshot.get("shards") or {}
-        if shards:
-            retried = sum(1 for c in shards.values() if c > 1)
-            lines.append(
-                f"  shards merged: {len(shards)}"
-                + (f" ({retried} retried, deduplicated)" if retried else "")
-            )
     return "\n".join(lines)

@@ -19,11 +19,12 @@ compile server, not a CDN). The request path:
    with ``return_exceptions=True``: one poison request becomes a
    :class:`ShardFailure` row (→ 500 with traceback + input digest)
    while its batch siblings complete.
-6. **Observability** — each completed job's metrics/remarks/spans are
-   grafted into the server's long-lived ``Obs`` via ``merge_shard``
-   (one ``req-N`` shard key per request), a ``kind="server"`` ledger
-   record is appended per request, and ``/metrics`` exports cache,
-   queue, single-flight, and request counters.
+6. **Observability** — each completed job's pipeline counters are
+   added into the server's long-lived ``Obs`` (its spans and remarks
+   went into the response or nowhere, so the server retains none per
+   request), a ``kind="server"`` ledger record is appended per request,
+   and ``/metrics`` exports those counters with cache, queue,
+   single-flight, and request counts.
 
 Graceful shutdown (:meth:`ReproServer.shutdown`) stops accepting,
 drains the queue and every in-flight response within
@@ -121,7 +122,6 @@ class ReproServer:
         self._dispatcher: asyncio.Task | None = None
         self._draining = False
         self._open_requests = 0
-        self._completed_seq = 0
         self._started_monotonic = 0.0
         self.requests_total = 0
         self.requests_by_status: dict[int, int] = {}
@@ -461,10 +461,9 @@ class ReproServer:
     def _run_batch(self, calls: list) -> list:
         """Run one batch through the experiment pool (worker thread).
 
-        Under the *null* obs context: per-request observation data comes
-        back in each job's result tuple and is grafted request-scoped by
-        ``_complete`` — letting ``run_sharded`` auto-merge here would
-        double-count it under anonymous shard keys.
+        Under the *null* obs context, so ``run_sharded`` merges nothing on
+        this thread: each job's metrics come back in its result tuple and
+        ``_complete`` adds them on the event loop.
         """
         with use_obs(NULL_OBS):
             return run_sharded(
@@ -472,8 +471,7 @@ class ReproServer:
             )
 
     def _complete(self, work: _WorkItem, result) -> None:
-        """Resolve one work item: cache + graft on success, 500 on failure."""
-        self._completed_seq += 1
+        """Resolve one work item: cache + count on success, 500 on failure."""
         if isinstance(result, ShardFailure):
             self.obs.remark(
                 "server",
@@ -491,13 +489,8 @@ class ReproServer:
             payload["error"]["input_digest"] = result.input_digest
             outcome = (500, render_body(payload))
         else:
-            payload, metrics, remarks, spans = result
-            self.obs.merge_shard(
-                f"req-{self._completed_seq}",
-                metrics,
-                remarks=remarks,
-                spans=spans,
-            )
+            payload, metrics = result
+            self.obs.metrics.merge(metrics)
             body = render_body(payload)
             if not work.fault:
                 self.cache.put(work.key, body)

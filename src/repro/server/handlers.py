@@ -6,13 +6,12 @@ text, parameter dict), so batches shard cleanly across the experiment
 process pool. Each job:
 
 * re-parses the canonical text (workers share nothing with the parent),
-* runs under a **fresh** :class:`repro.obs.Obs` context so its spans,
-  metrics, and remarks can be grafted into the server context
-  request-scoped (see :meth:`repro.obs.Obs.merge_shard`),
-* returns ``(payload, metrics, remarks, spans)`` — the deterministic
-  response payload plus the plain (picklable) observation data, the
-  same shape ``experiments.common._shard_worker`` ships across the
-  process boundary.
+* runs under a **fresh** :class:`repro.obs.Obs` context with no
+  tracer: its remarks go into the payload, its metrics go back to the
+  server, and no spans are recorded,
+* returns ``(payload, metrics)`` — the deterministic response payload
+  plus the picklable metrics registry the server adds into the
+  counters ``/metrics`` serves.
 
 Handler payloads contain no volatile fields (times, pids); that is what
 lets the app cache serialized bytes and golden-test the contract.
@@ -26,7 +25,7 @@ from repro.frontend import parse_program
 from repro.ir.nodes import Program
 from repro.ir.pretty import pretty_program
 from repro.model import CostModel
-from repro.obs import Obs, use_obs
+from repro.obs import NULL_TRACER, Obs, use_obs
 from repro.server.protocol import SCHEMA_VERSION
 
 __all__ = ["execute"]
@@ -219,23 +218,15 @@ _HANDLERS = {
 
 def execute(endpoint: str, canonical_text: str, digest: str, params: dict,
             fault: str = "") -> tuple:
-    """Run one compile job; returns ``(payload, metrics, remarks, spans)``.
+    """Run one compile job; returns ``(payload, metrics)``.
 
     Raised exceptions propagate to the pool layer, which captures them
     as :class:`~repro.experiments.common.ShardFailure` rows — one poison
     request fails alone, its batch siblings complete.
     """
-    request_obs = Obs()
+    request_obs = Obs(tracer=NULL_TRACER)
     with use_obs(request_obs):
-        with request_obs.span(
-            "server.execute", endpoint=endpoint, digest=digest
-        ):
-            _inject_fault(fault)
-            program = parse_program(canonical_text)
-            payload = _HANDLERS[endpoint](program, digest, params, request_obs)
-    return (
-        payload,
-        request_obs.metrics,
-        tuple(request_obs.remarks),
-        tuple(request_obs.tracer.spans),
-    )
+        _inject_fault(fault)
+        program = parse_program(canonical_text)
+        payload = _HANDLERS[endpoint](program, digest, params, request_obs)
+    return payload, request_obs.metrics

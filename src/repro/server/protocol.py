@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 
 from repro.errors import ParseError, ReproError
-from repro.ir.canon import canonical_program, content_digest
+from repro.ir.canon import canonical_digest, canonical_program
 from repro.ir.jsonio import program_from_json
 from repro.ir.nodes import Program
 from repro.obs.ledger import config_digest
@@ -234,7 +234,7 @@ def parse_request(endpoint: str, body: bytes, debug_faults: bool) -> CompileRequ
 
     try:
         canonical, _mapping = canonical_program(program)
-        digest = content_digest(program)
+        digest = canonical_digest(canonical)
     except ReproError as exc:
         raise ProtocolError(400, "bad-program", str(exc))
 

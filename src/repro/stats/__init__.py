@@ -12,7 +12,6 @@ from repro.stats.report import (
     render_histogram,
     render_metrics,
     render_remarks,
-    render_spans,
     render_table,
 )
 
@@ -27,6 +26,5 @@ __all__ = [
     "render_histogram",
     "render_metrics",
     "render_remarks",
-    "render_spans",
     "render_table",
 ]

@@ -1,5 +1,5 @@
 """Plain-text rendering: experiment tables plus observability output
-(optimization remarks, span trees, metrics summaries)."""
+(optimization remarks, metrics summaries)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ __all__ = [
     "render_table",
     "render_histogram",
     "render_remarks",
-    "render_spans",
     "render_metrics",
 ]
 
@@ -73,30 +72,6 @@ def render_remarks(remarks: Iterable, title: str = "optimization remarks") -> st
     return "\n".join(lines)
 
 
-def render_spans(spans: Sequence, title: str = "spans") -> str:
-    """Indented span tree with wall-time durations in milliseconds."""
-    lines = [title] if title else []
-    spans = list(spans)
-    if not spans:
-        lines.append("  (no spans)")
-        return "\n".join(lines)
-    children: dict = {}
-    for span in spans:
-        children.setdefault(span.parent_id, []).append(span)
-
-    def walk(span, depth: int) -> None:
-        attrs = "".join(f" {k}={v}" for k, v in span.attrs.items())
-        lines.append(
-            f"  {'  ' * depth}{span.name:<28} {span.duration * 1e3:10.3f} ms{attrs}"
-        )
-        for child in children.get(span.span_id, ()):
-            walk(child, depth + 1)
-
-    for root in children.get(None, ()):
-        walk(root, 0)
-    return "\n".join(lines)
-
-
 def render_metrics(metrics, title: str = "metrics") -> str:
     """Counters, gauges, and histogram summaries as aligned tables.
 
@@ -132,17 +107,6 @@ def render_metrics(metrics, title: str = "metrics") -> str:
                 }
             )
         sections.append(render_table(rows))
-    shards = snapshot.get("shards") or {}
-    if shards:
-        sections.append(
-            render_table(
-                [
-                    {"shard": key, "merged": 1, "offers": count}
-                    for key, count in shards.items()
-                ],
-                title=f"shards ({len(shards)} merged, duplicates deduped)",
-            )
-        )
     if len(sections) == (1 if title else 0):
         sections.append("(no metrics)")
     return "\n".join(sections)

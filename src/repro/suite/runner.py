@@ -6,7 +6,7 @@ at run time) a worker builds the program at the requested instance, runs
 the compound transform, and scores locality before/after with the
 analytic predictor. Entries shard across the experiment process pool
 (:func:`repro.experiments.common.run_sharded`); worker obs metrics,
-remarks, and spans merge back shard-deduplicated, one entry raising
+remarks, and spans merge back once per worker, one entry raising
 never poisons its siblings (captured as a per-entry failure row), every
 set run appends a ledger record (kind ``suite.set``), and the result
 renders to a markdown/HTML artifact via

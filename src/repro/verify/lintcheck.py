@@ -41,15 +41,17 @@ def check_lint(program: Program) -> Mismatch | None:
     A mismatch's ``where`` is one of ``fixit-state``, ``fixit-misses``,
     ``fixit-unverified``, ``fix-state``, ``fix-misses`` and ``crash``.
     """
-    from repro.lint import apply_fixes, lint_program
+    from repro.lint import apply_fixes
     from repro.lint.verifyfix import predicted_misses
 
     try:
-        result = lint_program(
+        # One driver call: its first lint round is the lint of
+        # ``program`` that the fix-it checks below read.
+        outcome = apply_fixes(
             program, line=ORACLE_LINE, capacity=ORACLE_CAPACITY
         )
         base_misses, _ = predicted_misses(program, ORACLE_LINE, ORACLE_CAPACITY)
-        for diag in result.diagnostics:
+        for diag in outcome.initial.diagnostics:
             fixit = diag.fixit
             if fixit is None:
                 continue
@@ -80,9 +82,6 @@ def check_lint(program: Program) -> Mismatch | None:
                     f"{base_misses} -> {misses} (regression)",
                 )
 
-        outcome = apply_fixes(
-            program, line=ORACLE_LINE, capacity=ORACLE_CAPACITY
-        )
         if outcome.applied:
             differing = state_difference(program, outcome.program)
             if differing:

@@ -150,3 +150,58 @@ class TestCacheContract:
         assert metrics["cache"]["misses"] == 1
         assert metrics["requests"]["by_endpoint"]["lint"] == 3
         assert metrics["requests"]["by_status"]["200"] >= 3
+
+
+class TestServerObservability:
+    def test_misses_add_counters_and_keep_no_spans_or_remarks(
+        self, server_factory, monkeypatch
+    ):
+        """``/metrics`` counters are the sum of the jobs' counters, and the
+        long-lived server context retains nothing else per request."""
+        import repro.server.app as app
+        from repro.obs import MetricsRegistry
+
+        expected = MetricsRegistry()
+        original = app.execute
+
+        def recording(endpoint, text, digest, params, fault=""):
+            payload, metrics = original(endpoint, text, digest, params, fault)
+            expected.merge(metrics)
+            return payload, metrics
+
+        monkeypatch.setattr(app, "execute", recording)
+        handle = server_factory(jobs=1)
+        for size in range(16, 48, 4):
+            reply = handle.client.optimize(SOURCE.replace("32", str(size)))
+            assert reply.status == 200 and reply.cache_state == "miss"
+        counters = handle.client.metrics().payload["counters"]
+        assert counters == expected.snapshot()["counters"]
+        assert counters["compound.nests"] == 8
+        assert counters["locality.predictions"] == 2 * 8
+        assert handle.server.obs.tracer.spans == []
+        assert handle.server.obs.remarks == []
+
+
+class TestParseRequest:
+    def test_canonicalizes_each_request_once(self, monkeypatch):
+        import json
+
+        import repro.ir.canon as canon
+        import repro.server.protocol as protocol
+
+        calls = []
+        original = canon.canonical_program
+
+        def counting(program):
+            calls.append(program.name)
+            return original(program)
+
+        monkeypatch.setattr(canon, "canonical_program", counting)
+        monkeypatch.setattr(protocol, "canonical_program", counting)
+        body = json.dumps({"source": SOURCE}).encode()
+        request = protocol.parse_request("optimize", body, False)
+        assert calls == ["contract"]
+        monkeypatch.undo()
+        from repro.frontend import parse_program
+
+        assert request.digest == canon.content_digest(parse_program(SOURCE))

@@ -8,6 +8,7 @@ streams, experiment hit rates, and the sharded experiment runner.
 """
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -622,8 +623,37 @@ class TestParallelRunner:
         with use_obs(Obs()) as obs:
             table4_hitrates.run(scale=0.3, names=names, jobs=2)
             counters = obs.metrics.snapshot()["counters"]
-        assert counters.get("experiment.shards") == len(names)
+        (sharded,) = obs.tracer.find("experiment.sharded")
+        assert sharded.attrs["shards"] == len(names)
         assert counters.get("trace.engine.block", 0) > 0
+
+    def test_sharded_tables_observe_what_serial_tables_do(self):
+        """table3 then table4, serial and with jobs=2, in one process: the
+        second sharded call reuses shard indices 0..n and must still
+        merge every worker. Memo caches are emptied before each table in
+        both modes (as a fresh process has them), so cache hit/miss
+        counters do not depend on which process ran which kernel."""
+        from repro.model import registered_caches
+        from repro.obs import Obs, use_obs
+
+        names = tuple(e.name for e in list(suite_entries())[:3])
+
+        def observe(jobs):
+            with use_obs(Obs()) as obs:
+                for table in (table3_perf, table4_hitrates):
+                    for cache in registered_caches().values():
+                        cache.clear()
+                    table.run(scale=0.3, names=names, jobs=jobs)
+            spans = Counter(
+                s.name for s in obs.tracer.spans if s.name != "experiment.sharded"
+            )
+            return obs.metrics.snapshot()["counters"], spans, len(obs.remarks)
+
+        serial, sharded = observe(1), observe(2)
+        assert sharded == serial
+        assert serial[0]["trace.engine.block"] > 0
+        # table4: two caches, original and optimized, per kernel
+        assert serial[1]["experiment.hit_rates"] == 2 * 2 * len(names)
 
 
 # ----------------------------------------------------------------------

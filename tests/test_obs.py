@@ -19,7 +19,7 @@ from repro.obs import (
     use_obs,
     write_jsonl,
 )
-from repro.stats.report import render_metrics, render_remarks, render_spans
+from repro.stats.report import render_metrics, render_remarks
 from repro.transforms import compound, distribute_nest, fuse_adjacent, permute_nest
 
 MATMUL = """
@@ -411,17 +411,6 @@ class TestRendering:
     def test_render_remarks_empty(self):
         assert "(no remarks)" in render_remarks([])
 
-    def test_render_spans_tree(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        text = render_spans(tracer.spans)
-        lines = text.splitlines()
-        assert "outer" in lines[1]
-        assert lines[2].startswith("    ")  # child indented under parent
-        assert "ms" in lines[1]
-
     def test_render_metrics(self):
         metrics = MetricsRegistry()
         metrics.counter("dep.pairs").inc(3)
@@ -432,15 +421,6 @@ class TestRendering:
 
     def test_render_metrics_empty(self):
         assert "(no metrics)" in render_metrics(MetricsRegistry())
-
-    def test_render_metrics_shards_table(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        b.counter("c").inc(2)
-        a.merge_shard("shard-0", b)
-        a.merge_shard("shard-0", b)  # retry: offer counted, not re-merged
-        text = render_metrics(a)
-        assert "shards (1 merged" in text
-        assert "shard-0" in text
 
 
 class TestProfiling:
@@ -518,52 +498,38 @@ class TestShardMerging:
         ids = [s.span_id for s in parent.spans]
         assert len(ids) == len(set(ids))
 
-    def test_merge_shard_dedupes_retries(self):
+    def test_merge_distinct_workers_accumulate(self):
         obs = Obs()
-        shard = MetricsRegistry()
-        shard.counter("cache.accesses").inc(100)
-        assert obs.merge_shard("shard-0", shard) is True
-        assert obs.merge_shard("shard-0", shard) is False  # pool retry
-        assert obs.metrics.counter("cache.accesses").value == 100
-        assert obs.metrics.shards == {"shard-0": 2}
-        snapshot = obs.metrics.snapshot()
-        assert snapshot["shards"] == {"shard-0": 2}
-
-    def test_merge_shard_distinct_shards_accumulate(self):
-        obs = Obs()
-        for index in range(3):
-            shard = MetricsRegistry()
-            shard.counter("c").inc(1)
-            obs.merge_shard(f"shard-{index}", shard)
+        for _ in range(3):
+            worker = MetricsRegistry()
+            worker.counter("c").inc(1)
+            obs.merge(worker)
         assert obs.metrics.counter("c").value == 3
-        assert len(obs.metrics.shards) == 3
+        assert set(obs.metrics.snapshot()) == {"counters", "gauges", "histograms"}
 
-    def test_merge_shard_remarks_and_spans_once(self):
+    def test_merge_appends_remarks_and_grafts_spans(self):
         worker = Obs()
         with use_obs(worker):
+            worker.metrics.counter("c").inc(2)
             worker.remark("p", "applied", "permute")
             with worker.tracer.span("w.task"):
                 pass
         obs = Obs()
         with obs.span("sharded") as root:
-            obs.merge_shard(
-                "shard-0",
-                worker.metrics,
-                remarks=tuple(worker.remarks),
-                spans=tuple(worker.tracer.spans),
-                parent=root,
-                shard=0,
-            )
-            obs.merge_shard(
-                "shard-0",
-                worker.metrics,
-                remarks=tuple(worker.remarks),
-                spans=tuple(worker.tracer.spans),
-                parent=root,
-                shard=0,
-            )
-        assert len(obs.remarks) == 1
-        assert len(obs.tracer.find("w.task")) == 1
+            for shard in (0, 1):
+                obs.merge(
+                    worker.metrics,
+                    tuple(worker.remarks),
+                    tuple(worker.tracer.spans),
+                    parent=root,
+                    shard=shard,
+                )
+        # Every merge adds: there is no key to deduplicate on.
+        assert obs.metrics.counter("c").value == 4
+        assert len(obs.remarks) == 2
+        tasks = obs.tracer.find("w.task")
+        assert {s.parent_id for s in tasks} == {root.span_id}
+        assert {s.shard for s in tasks} == {0, 1}
 
     def test_run_sharded_merges_worker_observability(self):
         from repro.experiments.common import run_sharded
@@ -574,7 +540,6 @@ class TestShardMerging:
         assert results == [4, 9, 16]
         # Worker counters merged exactly once per shard.
         assert obs.metrics.counter("sharded.calls").value == 3
-        assert set(obs.metrics.shards) == {"shard-0", "shard-1", "shard-2"}
         # Worker spans grafted under the sharded span with provenance.
         (sharded,) = obs.tracer.find("experiment.sharded")
         worker_spans = obs.tracer.find("sharded.work")
@@ -597,9 +562,30 @@ class TestShardMerging:
             == parallel.metrics.counter("sharded.calls").value
         )
 
+    def test_back_to_back_run_sharded_calls_keep_both(self):
+        """A second sharded call in one process reuses shard indices 0..n
+        and must still add its workers' counters, remarks and spans."""
+        from repro.experiments.common import run_sharded
+
+        obs = Obs()
+        with use_obs(obs):
+            run_sharded(_square_observed, [(2,), (3,)], jobs=2)
+            run_sharded(_square_observed, [(4,), (5,)], jobs=2)
+        assert obs.metrics.counter("sharded.calls").value == 4
+        assert [r.message for r in obs.remarks_for("sharded")] == [
+            "square 2", "square 3", "square 4", "square 5",
+        ]
+        first, second = obs.tracer.find("experiment.sharded")
+        work = obs.tracer.find("sharded.work")
+        assert [s.attrs["n"] for s in work] == [2, 3, 4, 5]
+        assert [s.parent_id for s in work] == [first.span_id] * 2 + [
+            second.span_id
+        ] * 2
+
 
 def _square_observed(n: int) -> int:
     obs = get_obs()
     obs.metrics.counter("sharded.calls").inc()
+    obs.remark("sharded", "analysis", f"square {n}")
     with obs.span("sharded.work", n=n):
         return n * n

@@ -19,7 +19,7 @@ class TestCheckLint:
         assert check_lint(kernels.matmul(8, "KIJ")) is None
 
     def test_detects_inequivalent_fixit(self, monkeypatch):
-        import repro.lint as lint_pkg
+        import repro.lint.engine as lint_engine
 
         original = _program("DO I = 1, N\n  A(I) = B(I)\nENDDO")
         wrong = _program("DO I = 1, N\n  A(I) = B(I) + 1\nENDDO")
@@ -40,13 +40,15 @@ class TestCheckLint:
                 miss_ratio=0.0,
             )
 
-        monkeypatch.setattr(lint_pkg, "lint_program", dishonest_lint)
+        # check_lint reads the --fix driver's first lint round, which
+        # looks lint_program up in the engine module.
+        monkeypatch.setattr(lint_engine, "lint_program", dishonest_lint)
         mismatch = check_lint(original)
         assert isinstance(mismatch, Mismatch)
         assert mismatch.where == "fixit-state"
 
     def test_detects_unverified_fixit_on_warning(self, monkeypatch):
-        import repro.lint as lint_pkg
+        import repro.lint.engine as lint_engine
 
         original = _program("DO I = 1, N\n  A(I) = B(I)\nENDDO")
 
@@ -64,7 +66,7 @@ class TestCheckLint:
                 miss_ratio=0.0,
             )
 
-        monkeypatch.setattr(lint_pkg, "lint_program", sloppy_lint)
+        monkeypatch.setattr(lint_engine, "lint_program", sloppy_lint)
         mismatch = check_lint(original)
         assert isinstance(mismatch, Mismatch)
         assert mismatch.where == "fixit-unverified"

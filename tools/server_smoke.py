@@ -12,7 +12,10 @@ gate kernels (the autotune benchmark's FULL set) through
   compiling pass in aggregate (total hit wall-clock vs. total miss
   wall-clock; per-kernel ratios are printed but not gated — the
   cheapest kernels compile in single-digit milliseconds, where fixed
-  HTTP overhead dominates the ratio).
+  HTTP overhead dominates the ratio);
+* the final ``/metrics`` ``"counters"`` hold the pipeline counters
+  (``dep.pairs``, ``locality.predictions``) the compile pass's jobs
+  sent back, so a broken job-metrics merge fails the smoke.
 
 Artifacts (``--artifacts DIR``): the final ``/metrics`` snapshot and
 the server's ledger (one ``kind="server"`` record per request).
@@ -35,6 +38,9 @@ import threading
 import time
 
 GATE_KERNELS = ["jacobi", "adi", "erlebacher_like", "cholesky", "transpose"]
+
+#: counters every compiling job reports; /metrics must carry them
+PIPELINE_COUNTERS = ("dep.pairs", "locality.predictions")
 
 
 def main(argv: list[str]) -> int:
@@ -121,6 +127,16 @@ def main(argv: list[str]) -> int:
             )
         if metrics["requests"]["by_status"].get("200", 0) < 2 * len(GATE_KERNELS):
             failures.append("not every request answered 200")
+        missing = [
+            name
+            for name in PIPELINE_COUNTERS
+            if not metrics["counters"].get(name)
+        ]
+        if missing:
+            failures.append(
+                f"/metrics counters lack {', '.join(missing)} after the "
+                "compile pass (job metrics were not merged)"
+            )
 
         with open(os.path.join(args.artifacts, "metrics.json"), "w") as handle:
             json.dump(metrics, handle, indent=2)
