@@ -15,7 +15,7 @@ with the scalar path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,6 +118,9 @@ class SetAssocCache:
         self._line_shift = config.line.bit_length() - 1
         self._set_mask = config.sets - 1
         self._sets_pow2 = (config.sets & (config.sets - 1)) == 0
+        # Set indices fit uint16 here; NumPy's stable argsort radix-sorts
+        # 16-bit keys instead of merge-sorting int64 ones.
+        self._set_key = np.uint16 if config.sets <= 1 << 16 else None
 
     def _grow_seen(self, line_number: int) -> None:
         size = max(1024, int(self._seen_arr.shape[0]))
@@ -278,7 +281,8 @@ class SetAssocCache:
         else:
             ksets = klines % self.config.sets
         # Pass 2: group by set, keeping each set's order (stable sort).
-        order = np.argsort(ksets, kind="stable")
+        keys = ksets if self._set_key is None else ksets.astype(self._set_key)
+        order = np.argsort(keys, kind="stable")
         slines = klines[order]
         ssets = ksets[order]
         spos = idx[order]

@@ -31,6 +31,9 @@ feasible hybrid vectors for ``B - A`` over the common loops.
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from math import gcd
 from typing import Mapping, Sequence
@@ -41,7 +44,7 @@ from repro.ir.nodes import Loop
 from repro.dependence.vector import DIR_EQ, DIR_GT, DIR_LT, DIR_STAR, DepVector
 from repro.obs import get_obs
 
-__all__ = ["analyze_ref_pair", "MAX_VECTORS"]
+__all__ = ["analyze_ref_pair", "MAX_VECTORS", "recording_kinds", "replay_kinds"]
 
 #: Safety valve: beyond this many feasible vectors the result collapses to
 #: a single all-'*' vector (fully conservative).
@@ -241,6 +244,46 @@ def _chain_key(chain: Sequence[Loop]) -> tuple:
     return tuple((loop.var, loop.lb, loop.ub, loop.step) for loop in chain)
 
 
+#: The totals of the innermost :func:`recording_kinds` block.
+_KIND_LOG: "ContextVar[Counter[str] | None]" = ContextVar(
+    "repro_dep_kinds", default=None
+)
+
+
+@contextmanager
+def recording_kinds():
+    """Total the ``dep.*`` kind counter bumps of every pair analysed in
+    the block, cached or not, and whether or not observation is on.
+
+    Yields a ``Counter`` of name -> amount; a cache above the pair cache
+    (``model.nestinfo.cache``) stores its items and hands them to
+    :func:`replay_kinds` on a hit. Nested blocks also count toward the
+    enclosing one.
+    """
+    totals: Counter[str] = Counter()
+    token = _KIND_LOG.set(totals)
+    try:
+        yield totals
+    finally:
+        _KIND_LOG.reset(token)
+        outer = _KIND_LOG.get()
+        if outer is not None:
+            outer.update(totals)
+
+
+def replay_kinds(events) -> None:
+    """Bump recorded ``(name, amount)`` kind counters in the active
+    context, and in the enclosing :func:`recording_kinds` block if any."""
+    log = _KIND_LOG.get()
+    obs = get_obs()
+    metrics = obs.metrics if obs.enabled else None
+    for name, amount in events:
+        if log is not None:
+            log[name] += amount
+        if metrics is not None:
+            metrics.counter(name).inc(amount)
+
+
 class _KindRecorder:
     """Metrics-registry shim capturing counter bumps for cache replay."""
 
@@ -288,7 +331,6 @@ def analyze_ref_pair(
     is identical to an uncached run; ``dep.cache.hits`` / ``.misses``
     report the cache's own effectiveness.
     """
-    obs = get_obs()
     key = (
         ref_a,
         ref_b,
@@ -300,20 +342,14 @@ def analyze_ref_pair(
     cached = cache.get(key)  # the cache emits dep.cache.hits/misses
     if cached is not None:
         vectors, events = cached
-        if obs.enabled:
-            metrics = obs.metrics
-            for name, amount in events:
-                metrics.counter(name).inc(amount)
+        replay_kinds(events)
         return list(vectors)
     recorder = _KindRecorder()
     vectors = _analyze_ref_pair_impl(
         ref_a, ref_b, common, only_a, only_b, recorder
     )
     cache.put(key, (tuple(vectors), tuple(recorder.events)))
-    if obs.enabled:
-        metrics = obs.metrics
-        for name, amount in recorder.events:
-            metrics.counter(name).inc(amount)
+    replay_kinds(recorder.events)
     return vectors
 
 

@@ -34,6 +34,18 @@ Consumers call :func:`run_trace`, the one place an engine is chosen: the
 block trace, or the interpreter when asked for or when the compiler
 rejects the program. Either way they receive blocks.
 
+:func:`compile_block_trace` compiles a program once: compiled traces,
+and declines (kept as the message and raised afresh), live in the
+registered :class:`~repro.model.memo.MemoCache` ``exec.blocktrace.cache``
+keyed by ``(program, sorted params, block_size)``. The key is the frozen
+:class:`Program` value itself, not the :mod:`repro.ir.canon` digest: the
+canonical form sorts declarations, whose order sets the arrays' base
+addresses, and renumbers statement ids, which every block carries; and
+the pretty text the digest hashes does not print ``elem_size``. Programs
+the digest identifies can therefore have different streams. A cached
+trace is shared freely (across threads too): :meth:`CompiledBlockTrace.run`
+builds a fresh buffer per call and the compiled arrays are read-only.
+
 Subscript bounds are NOT checked here; run the validating interpreter
 first if the program is untrusted.
 """
@@ -52,6 +64,7 @@ from repro.ir.expr import Bin, Call
 from repro.ir.nodes import Assign, Loop, Program
 from repro.exec.interp import AccessEvent, Interpreter
 from repro.exec.layout import MemoryLayout
+from repro.model.memo import MemoCache
 from repro.obs import get_obs
 
 __all__ = [
@@ -67,6 +80,13 @@ DEFAULT_BLOCK_SIZE = 1 << 16
 
 #: Consumer protocol: one call per coalesced AccessBlock.
 BlockFn = Callable[["AccessBlock"], None]
+
+#: (program, sorted params, block_size) -> CompiledBlockTrace, or the
+#: decline message. Perfbench's simulate workload cycles through 61
+#: programs, original and optimized (107 distinct keys), in shuffled
+#: order; an LRU smaller than a pass would never hit, so the cap holds
+#: a whole pass.
+_TRACES = MemoCache("exec.blocktrace.cache", cap=256)
 
 
 class BlockTraceError(ExecutionError):
@@ -178,9 +198,13 @@ class _BlockBuffer:
         self._on_block(AccessBlock(addresses, sizes, writes, sids))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledBlockTrace:
-    """A compiled batched trace generator for one (program, params) pair."""
+    """A compiled batched trace generator for one (program, params) pair.
+
+    Frozen because :func:`compile_block_trace` shares one instance
+    between every caller that asks for the same trace.
+    """
 
     program_name: str
     source: str
@@ -199,14 +223,26 @@ def compile_block_trace(
     params: Mapping[str, int] | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> CompiledBlockTrace:
-    """Compile ``program`` (with concrete parameters) to a block trace.
+    """Compile ``program`` (with concrete parameters) to a block trace,
+    memoized in ``exec.blocktrace.cache`` (see the module docstring).
 
     Raises:
         BlockTraceError: when an access or bound cannot be reduced to the
-            affine arithmetic the engine generates.
+            affine arithmetic the engine generates. The decline is cached
+            like a result.
     """
-    with get_obs().span("exec.blocktrace.compile", program=program.name):
-        return _compile_block_trace(program, params, block_size)
+    key = (program, tuple(sorted((params or {}).items())), block_size)
+    compiled = _TRACES.get(key)
+    if compiled is None:
+        try:
+            with get_obs().span("exec.blocktrace.compile", program=program.name):
+                compiled = _compile_block_trace(program, params, block_size)
+        except BlockTraceError as decline:
+            compiled = str(decline)
+        _TRACES.put(key, compiled)
+    if isinstance(compiled, str):
+        raise BlockTraceError(compiled)
+    return compiled
 
 
 def run_trace(
@@ -342,6 +378,13 @@ def _affine_expr(
     return " + ".join(parts)
 
 
+def _read_only(values: list, dtype=np.int64) -> np.ndarray:
+    """An array a cached trace may share with every run and consumer."""
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
 def _perfect_chain(node: Loop) -> tuple[Loop, ...] | None:
     """``node`` and the loops below it while each body is a single loop,
     when the last body is only Assigns (None otherwise)."""
@@ -422,19 +465,16 @@ class _Emitter:
     def _register_site(self, slots: list[tuple]) -> int:
         self.sites.append(
             _Site(
-                writes=np.array([w for _, _, w in slots], dtype=bool),
-                sids=np.array([sid for _, sid, _ in slots], dtype=np.int64),
-                sizes=np.array(
-                    [self.layout[ref.array].elem_size for ref, _, _ in slots],
-                    dtype=np.int64,
-                ),
+                writes=_read_only([w for _, _, w in slots], bool),
+                sids=_read_only([sid for _, sid, _ in slots]),
+                sizes=_read_only([self.layout[ref.array].elem_size for ref, _, _ in slots]),
             )
         )
         return len(self.sites) - 1
 
     def _const(self, values: list[int]) -> str:
         name = f"__c{len(self.consts)}"
-        self.consts[name] = np.array(values, dtype=np.int64)
+        self.consts[name] = _read_only(values)
         return name
 
     def _scalar_stmt(self, stmt: Assign, pad: str) -> None:

@@ -17,9 +17,11 @@ that equivalence:
 
 :func:`canonical_text` is the round-trippable pretty text of that
 canonical form and :func:`content_digest` its SHA-256 key;
-:func:`canonical_digest` is the same key for a program already in
-canonical form, so a caller holding that form does not build it twice.
-The oracle layer's ``canonical_key`` (exact pretty text) remains the
+:func:`canonical_text_digest` gives both for a program already in
+canonical form, so a caller holding that form neither builds it nor
+prints it twice.
+The oracle layer's ``canonical_key`` (exact pretty text, to which its
+caches add the element sizes the text does not print) remains the
 right key for *intra-process* memoization where renames are impossible;
 this module is the stricter cross-request key.
 """
@@ -101,11 +103,13 @@ def canonical_text(program: Program) -> str:
     return pretty_program(canonical)
 
 
-def canonical_digest(canonical: Program) -> str:
-    """The content key of a program already in canonical form."""
-    return hashlib.sha256(pretty_program(canonical).encode()).hexdigest()[:16]
+def canonical_text_digest(canonical: Program) -> tuple[str, str]:
+    """The pretty text and content key of a program already in
+    canonical form."""
+    text = pretty_program(canonical)
+    return text, hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def content_digest(program: Program) -> str:
     """Stable hex content key of the nest's canonical form (16 chars)."""
-    return canonical_digest(canonical_program(program)[0])
+    return canonical_text_digest(canonical_program(program)[0])[1]

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from repro.dependence.tests import recording_kinds, replay_kinds
 from repro.ir.expr import Ref
 from repro.ir.nodes import Loop, Program
 from repro.ir.poly import Poly
@@ -36,11 +37,13 @@ RefCostKind = str
 #: Cache size valve (entries are LRU-evicted past it; see repro.model.memo).
 _CACHE_CAP = 4096
 
-#: root (structural) -> dependence tuple, shared across CostModel
-#: instances: dependences contain no loop objects and do not depend on the
-#: model's parameters or the outer context, so structurally identical
-#: nests (rebuilt trees, repeated experiment versions) reuse the expensive
-#: region_dependences result.
+#: root (structural) -> (dependence tuple, recorded ``dep.*`` kind
+#: counter bumps), shared across CostModel instances: dependences contain
+#: no loop objects and do not depend on the model's parameters or the
+#: outer context, so structurally identical nests (rebuilt trees, repeated
+#: experiment versions) reuse the expensive region_dependences result. A
+#: hit replays the bumps, so ``dep.*`` totals do not depend on what ran
+#: earlier in the process.
 _DEPS_CACHE = MemoCache("model.nestinfo.cache", cap=_CACHE_CAP)
 
 
@@ -91,11 +94,14 @@ class CostModel:
             and all(a is b for a, b in zip(hit[1], outer))
         ):
             return hit[2]
-        deps = _DEPS_CACHE.get(root)
-        if deps is None:
-            info = build_nest_info(root, outer)
-            _DEPS_CACHE.put(root, info.deps)
+        cached = _DEPS_CACHE.get(root)
+        if cached is None:
+            with recording_kinds() as kinds:
+                info = build_nest_info(root, outer)
+            _DEPS_CACHE.put(root, (info.deps, tuple(kinds.items())))
         else:
+            deps, kinds = cached
+            replay_kinds(kinds)
             # Structural hit: reuse the dependence set, but rebuild the
             # tree-derived parts from THIS root — consumers compare chain
             # entries against their own loop objects by identity.

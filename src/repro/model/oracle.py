@@ -16,7 +16,8 @@ ranking) directly.
 
 Both implementations memoize on the *canonicalized* program — the
 round-trippable pretty-printed text, which captures parameters, array
-declarations, and loop structure — through the shared
+declarations, and loop structure, plus the element sizes it does not
+print — through the shared
 :class:`repro.model.memo.MemoCache` layer, so lint, autotune, and ad-hoc
 scoring reuse each other's evaluations within a process.
 """
@@ -45,11 +46,19 @@ __all__ = [
 def canonical_key(program: Program) -> str:
     """Content key of a program: its round-trippable pretty text.
 
-    Two programs with the same key are indistinguishable to every
-    analysis (parameters, declarations, and loop structure all print),
-    so oracle results may be shared between them.
+    Parameters, declarations and loop structure all print, but element
+    sizes do not, and they set every byte address: a 4-byte and an
+    8-byte program share this key yet miss differently. The oracle
+    caches therefore key on :func:`_cache_key`, which adds them.
     """
     return pretty_program(program)
+
+
+def _cache_key(program: Program, line: int) -> tuple:
+    """Oracle cache key: the canonical key, each declaration's element
+    size (in declaration order) and the line size."""
+    sizes = tuple(decl.elem_size for decl in program.arrays)
+    return canonical_key(program), sizes, line
 
 
 @dataclass(frozen=True)
@@ -68,13 +77,13 @@ class OracleCost:
         return self.misses < other.misses - eps
 
 
-#: Shared across AnalyticOracle instances: (canonical text, line) ->
+#: Shared across AnalyticOracle instances: _cache_key ->
 #: LocalityPrediction. Predictions are capacity-agnostic, so every
 #: capacity query reuses one entry.
 _PREDICTION_CACHE = MemoCache("oracle.analytic.cache", cap=2048)
 
-#: Shared across SimulationOracle instances: (canonical text, line,
-#: access cap) -> ReuseProfile. Profiles are large-ish, keep few.
+#: Shared across SimulationOracle instances: _cache_key -> ReuseProfile.
+#: Profiles are large-ish, keep few.
 _PROFILE_CACHE = MemoCache("oracle.sim.cache", cap=64)
 
 
@@ -90,7 +99,7 @@ class AnalyticOracle:
     capacity: int = 512
 
     def prediction(self, program: Program) -> "LocalityPrediction":
-        key = (canonical_key(program), self.line)
+        key = _cache_key(program, self.line)
         hit = _PREDICTION_CACHE.get(key)
         if hit is not None:
             return hit
@@ -116,7 +125,7 @@ class SimulationOracle:
     capacity: int = 512
 
     def profile(self, program: Program) -> "ReuseProfile":
-        key = (canonical_key(program), self.line)
+        key = _cache_key(program, self.line)
         hit = _PROFILE_CACHE.get(key)
         if hit is not None:
             return hit

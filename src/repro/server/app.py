@@ -39,7 +39,9 @@ import time
 from dataclasses import dataclass, field, replace
 
 from repro.experiments.common import ShardFailure, run_sharded
-from repro.ir.pretty import pretty_program
+# Not called here (requests carry their canonical text); perfbench's
+# traced run wraps this name, so it stays importable.
+from repro.ir.pretty import pretty_program  # noqa: F401
 from repro.obs import NULL_OBS, Obs, use_obs
 from repro.server.cache import ResultCache, SingleFlight
 from repro.server.config import ServerConfig
@@ -350,7 +352,7 @@ class ReproServer:
             endpoint=endpoint,
             key=key,
             digest=request.digest,
-            text=pretty_program(request.program),
+            text=request.text,
             params=request.params,
             fault=request.fault,
             future=asyncio.get_running_loop().create_future(),

@@ -28,9 +28,8 @@ import json
 from dataclasses import dataclass
 
 from repro.errors import ParseError, ReproError
-from repro.ir.canon import canonical_digest, canonical_program
+from repro.ir.canon import canonical_program, canonical_text_digest
 from repro.ir.jsonio import program_from_json
-from repro.ir.nodes import Program
 from repro.obs.ledger import config_digest
 
 __all__ = [
@@ -100,7 +99,7 @@ class CompileRequest:
     """
 
     endpoint: str
-    program: Program  # the canonical form
+    text: str  # pretty text of the canonical form (the job parses it)
     digest: str  # content digest of the canonical nest
     params: dict  # effective (defaulted) endpoint parameters
     fault: str  # debug fault directive ("" = none)
@@ -234,13 +233,13 @@ def parse_request(endpoint: str, body: bytes, debug_faults: bool) -> CompileRequ
 
     try:
         canonical, _mapping = canonical_program(program)
-        digest = canonical_digest(canonical)
+        text, digest = canonical_text_digest(canonical)
     except ReproError as exc:
         raise ProtocolError(400, "bad-program", str(exc))
 
     return CompileRequest(
         endpoint=endpoint,
-        program=canonical,
+        text=text,
         digest=digest,
         params=params,
         fault=fault,

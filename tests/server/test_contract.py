@@ -205,3 +205,32 @@ class TestParseRequest:
         from repro.frontend import parse_program
 
         assert request.digest == canon.content_digest(parse_program(SOURCE))
+        assert request.text == canon.canonical_text(parse_program(SOURCE))
+
+    def test_a_miss_prints_the_canonical_program_once(
+        self, server_factory, monkeypatch
+    ):
+        import repro.ir.canon as canon
+        import repro.server.app as app
+        from repro.frontend import parse_program
+
+        expected = canon.canonical_text(parse_program(SOURCE))
+        printed, texts = [], []
+        real_pretty, real_execute = canon.pretty_program, app.execute
+
+        def pretty(program):
+            printed.append(program.name)
+            return real_pretty(program)
+
+        def execute(endpoint, text, digest, params, fault=""):
+            texts.append(text)
+            return real_execute(endpoint, text, digest, params, fault)
+
+        monkeypatch.setattr(canon, "pretty_program", pretty)
+        monkeypatch.setattr(app, "pretty_program", pretty)
+        monkeypatch.setattr(app, "execute", execute)
+        handle = server_factory(jobs=1)
+        reply = handle.client.optimize(SOURCE)
+        assert reply.status == 200 and reply.cache_state == "miss"
+        assert printed == ["NEST"]
+        assert texts == [expected]

@@ -171,6 +171,42 @@ class TestOracles:
         program = kernels.matmul(8, "IJK")
         assert canonical_key(program) == pretty_program(program)
 
+    def test_oracles_tell_element_sizes_apart(self):
+        # The pretty text does not print elem_size: both oracles once
+        # answered a 4-byte program with its 8-byte twin's cached cost.
+        from dataclasses import replace
+
+        from repro.cache.reuse import reuse_profile
+        from repro.locality import predict_locality
+
+        wide = parse_program(
+            "PROGRAM t\nPARAMETER N = 40\nREAL A(N,N), B(N,N)\n"
+            "DO I = 1, N\n  DO J = 1, N\n    A(I,J) = A(I,J) + B(J,I)\n"
+            "  ENDDO\nENDDO\nEND"
+        )
+        narrow = replace(
+            wide, arrays=tuple(replace(d, elem_size=4) for d in wide.arrays)
+        )
+        assert canonical_key(wide) == canonical_key(narrow)
+        expected = []
+        for program in (wide, narrow):
+            profile = reuse_profile(program, line=32)
+            expected.append(
+                (
+                    profile.accesses - profile.hits_for_capacity(16),
+                    predict_locality(program, line=32).misses_for_capacity(16),
+                )
+            )
+        assert expected == [(2000, 2001), (1800, 1801)]
+        answers = [
+            (
+                SimulationOracle(line=32, capacity=16).cost(program).misses,
+                AnalyticOracle(line=32, capacity=16).cost(program).misses,
+            )
+            for program in (wide, narrow)
+        ]
+        assert answers == expected
+
 
 # ----------------------------------------------------------------------
 # Search-space enumeration properties

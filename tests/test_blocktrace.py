@@ -12,6 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import CACHE2, CacheConfig, Hierarchy, SetAssocCache
@@ -34,7 +35,7 @@ from repro.experiments.common import (
     resolve_jobs,
 )
 from repro.frontend import parse_program
-from repro.model import CostModel
+from repro.model import CostModel, registered_caches
 from repro.suite import get_set, suite_entries
 from repro.suite.registry import DEFAULT_INSTANCES
 from repro.transforms import compound
@@ -449,6 +450,139 @@ class TestCollapsedChains:
 
 
 # ----------------------------------------------------------------------
+# The compile memo (exec.blocktrace.cache)
+# ----------------------------------------------------------------------
+MEMO_SOURCE = """
+PROGRAM memo
+PARAMETER N = 9
+REAL A(N,N), B(N,N)
+DO J = 1, N
+  DO I = 1, N
+    A(I,J) = A(I,J) + B(J,I)
+  ENDDO
+  B(1,J) = A(J,1)
+ENDDO
+END"""
+
+
+def shifted_sids(program, by: int):
+    from dataclasses import replace
+
+    from repro.ir.nodes import Assign
+
+    def walk(node):
+        if isinstance(node, Assign):
+            return node.with_sid(node.sid + by)
+        return node.with_body([walk(child) for child in node.body])
+
+    return replace(program, body=tuple(walk(node) for node in program.body))
+
+
+class TestTraceMemo:
+    def test_equal_compile_hits_the_cache(self):
+        from repro.obs import Obs, use_obs
+
+        blocktrace._TRACES.clear()
+        with use_obs(Obs()) as obs:
+            first = compile_block_trace(parse_program(MEMO_SOURCE), {"N": 7})
+            second = compile_block_trace(parse_program(MEMO_SOURCE), {"N": 7})
+            compile_block_trace(parse_program(MEMO_SOURCE), {"N": 8})
+            compile_block_trace(parse_program(MEMO_SOURCE), {"N": 7}, block_size=64)
+            counters = obs.metrics.snapshot()["counters"]
+        assert second is first
+        assert counters["exec.blocktrace.cache.hits"] == 1
+        assert counters["exec.blocktrace.cache.misses"] == 3
+        # Only real compiles open a span.
+        assert len(obs.tracer.find("exec.blocktrace.compile")) == 3
+        assert "exec.blocktrace.cache" in registered_caches()
+
+    def test_programs_the_canonical_digest_merges_keep_their_own_trace(self):
+        from dataclasses import replace
+
+        from repro.ir.canon import content_digest
+
+        base = parse_program(MEMO_SOURCE)
+        variants = [
+            replace(base, arrays=tuple(replace(d, elem_size=4) for d in base.arrays)),
+            replace(base, arrays=tuple(reversed(base.arrays))),
+            shifted_sids(base, 10),
+        ]
+        streams = [block_trace_events(base)]
+        for variant in variants:
+            assert variant != base
+            assert content_digest(variant) == content_digest(base)
+            assert_matches_interpreter(variant)
+            streams.append(block_trace_events(variant))
+        assert len({tuple(stream) for stream in streams}) == len(streams)
+
+    def test_a_cached_decline_raises_again(self):
+        from dataclasses import replace
+
+        from repro.obs import Obs, use_obs
+
+        base = parse_program(MEMO_SOURCE)
+        program = replace(base, arrays=base.arrays[:1])  # B has no layout
+        blocktrace._TRACES.clear()
+        with use_obs(Obs()) as obs:
+            messages = []
+            for _ in range(2):
+                with pytest.raises(BlockTraceError) as caught:
+                    compile_block_trace(program)
+                messages.append(str(caught.value))
+            counters = obs.metrics.snapshot()["counters"]
+        assert messages[0] == messages[1] and "'B'" in messages[0]
+        assert counters["exec.blocktrace.cache.hits"] == 1
+        assert len(obs.tracer.find("exec.blocktrace.compile")) == 1
+
+    def test_threads_share_cached_traces(self):
+        import sys
+        import threading
+
+        programs = [parse_program(MEMO_SOURCE).with_params({"N": n}) for n in (5, 6, 7)]
+        expected = [block_trace_events(program) for program in programs]
+        blocktrace._TRACES.clear()
+        lookups = blocktrace._TRACES.hits + blocktrace._TRACES.misses
+        failures = []
+
+        def worker(seed: int) -> None:
+            order = random.Random(seed)
+            for _ in range(20):
+                i = order.randrange(len(programs))
+                if block_trace_events(programs[i]) != expected[i]:
+                    failures.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        after = blocktrace._TRACES.hits + blocktrace._TRACES.misses
+        assert after - lookups == 6 * 20
+
+    def test_a_shared_trace_cannot_be_altered(self):
+        program = parse_program(
+            "PROGRAM one\nREAL A(2,2)\nA(1,1) = A(2,2)\nEND"
+        )
+        trace = compile_block_trace(program)
+        with pytest.raises(AttributeError):
+            trace.block_size = 1
+        blocks = []
+        trace.run(blocks.append)
+        # The lone block is the statement's own slot pattern, shared by
+        # every run of the cached trace.
+        (block,) = blocks
+        with pytest.raises(ValueError):
+            block.sizes[0] = 1
+
+
+# ----------------------------------------------------------------------
 # Block trace vs interpreter, end to end
 # ----------------------------------------------------------------------
 def reject_block_trace(*args, **kwargs):
@@ -704,6 +838,32 @@ class TestMemoCaches:
         assert all(a is b for a, b in zip(info2.loops, second.perfect_nest_loops()))
         sid = second.statements[0].sid
         assert all(l1 is l2 for l1, l2 in zip(info2.chains[sid], info2.loops))
+
+    def test_nest_info_structural_hit_replays_dep_counters(self):
+        from repro.model.loopcost import _DEPS_CACHE
+        from repro.obs import Obs, use_obs
+        from repro.suite import cholesky
+
+        def dep_counters(nest) -> dict:
+            with use_obs(Obs()) as obs:
+                CostModel().nest_info(nest)
+                counters = obs.metrics.snapshot()["counters"]
+            return {
+                name: value
+                for name, value in counters.items()
+                if name.startswith("dep.") and not name.startswith("dep.cache.")
+            }
+
+        first = cholesky(10, "KIJ").top_loops[0]
+        second = cholesky(10, "KIJ").top_loops[0]
+        assert first == second and first is not second
+        _DEPS_CACHE.clear()
+        cold = dep_counters(first)
+        hits = _DEPS_CACHE.hits
+        warm = dep_counters(second)
+        assert _DEPS_CACHE.hits == hits + 1
+        assert cold["dep.pairs"] > 0
+        assert warm == cold
 
     def test_loop_cost_cache_consistent(self):
         from repro.suite import matmul
