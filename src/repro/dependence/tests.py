@@ -32,8 +32,6 @@ feasible hybrid vectors for ``B - A`` over the common loops.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from math import gcd
 from typing import Mapping, Sequence
@@ -42,9 +40,10 @@ from repro.ir.affine import Affine
 from repro.ir.expr import Ref
 from repro.ir.nodes import Loop
 from repro.dependence.vector import DIR_EQ, DIR_GT, DIR_LT, DIR_STAR, DepVector
+from repro.model.memo import MemoCache
 from repro.obs import get_obs
 
-__all__ = ["analyze_ref_pair", "MAX_VECTORS", "recording_kinds", "replay_kinds"]
+__all__ = ["analyze_ref_pair", "MAX_VECTORS"]
 
 #: Safety valve: beyond this many feasible vectors the result collapses to
 #: a single all-'*' vector (fully conservative).
@@ -52,29 +51,8 @@ MAX_VECTORS = 81
 
 #: Pair-test memo: the result depends only on the two references and the
 #: canonical (var, lb, ub, step) chains, all of which are frozen values.
-#: Backed by the shared :class:`repro.model.memo.MemoCache` layer (LRU
-#: eviction + hit/miss counters); created lazily because importing
-#: ``repro.model`` from here at module scope would close an import cycle
-#: (model.nest -> dependence.pairs -> dependence.tests).
-_PAIR_CACHE_CAP = 50_000
-_pair_cache_singleton = None
-
-
-def _pair_cache():
-    global _pair_cache_singleton
-    if _pair_cache_singleton is None:
-        from repro.model.memo import MemoCache
-
-        _pair_cache_singleton = MemoCache("dep.cache", cap=_PAIR_CACHE_CAP)
-    return _pair_cache_singleton
-
-
-def __getattr__(name: str):
-    # PEP 562: `from repro.dependence.tests import _PAIR_CACHE` resolves
-    # to the live singleton even before the first pair test ran.
-    if name == "_PAIR_CACHE":
-        return _pair_cache()
-    raise AttributeError(name)
+#: Each entry is ``(vectors, ((kind counter, amount), ...))``.
+_PAIR_CACHE = MemoCache("dep.cache", cap=50_000)
 
 #: Constraint-count cap per elimination step; beyond it the FME test
 #: gives up and reports "feasible" (fully conservative).
@@ -244,69 +222,6 @@ def _chain_key(chain: Sequence[Loop]) -> tuple:
     return tuple((loop.var, loop.lb, loop.ub, loop.step) for loop in chain)
 
 
-#: The totals of the innermost :func:`recording_kinds` block.
-_KIND_LOG: "ContextVar[Counter[str] | None]" = ContextVar(
-    "repro_dep_kinds", default=None
-)
-
-
-@contextmanager
-def recording_kinds():
-    """Total the ``dep.*`` kind counter bumps of every pair analysed in
-    the block, cached or not, and whether or not observation is on.
-
-    Yields a ``Counter`` of name -> amount; a cache above the pair cache
-    (``model.nestinfo.cache``) stores its items and hands them to
-    :func:`replay_kinds` on a hit. Nested blocks also count toward the
-    enclosing one.
-    """
-    totals: Counter[str] = Counter()
-    token = _KIND_LOG.set(totals)
-    try:
-        yield totals
-    finally:
-        _KIND_LOG.reset(token)
-        outer = _KIND_LOG.get()
-        if outer is not None:
-            outer.update(totals)
-
-
-def replay_kinds(events) -> None:
-    """Bump recorded ``(name, amount)`` kind counters in the active
-    context, and in the enclosing :func:`recording_kinds` block if any."""
-    log = _KIND_LOG.get()
-    obs = get_obs()
-    metrics = obs.metrics if obs.enabled else None
-    for name, amount in events:
-        if log is not None:
-            log[name] += amount
-        if metrics is not None:
-            metrics.counter(name).inc(amount)
-
-
-class _KindRecorder:
-    """Metrics-registry shim capturing counter bumps for cache replay."""
-
-    __slots__ = ("events",)
-
-    def __init__(self):
-        self.events: list[tuple[str, int]] = []
-
-    def counter(self, name: str) -> "_RecCounter":
-        return _RecCounter(self.events, name)
-
-
-class _RecCounter:
-    __slots__ = ("_events", "_name")
-
-    def __init__(self, events: list, name: str):
-        self._events = events
-        self._name = name
-
-    def inc(self, amount: int = 1) -> None:
-        self._events.append((self._name, amount))
-
-
 def analyze_ref_pair(
     ref_a: Ref,
     ref_b: Ref,
@@ -326,9 +241,10 @@ def analyze_ref_pair(
     The trivial all-zero vector (same instance, same access) *is* included
     when feasible; callers drop it for identical occurrences.
 
-    Results are memoized on the canonical (refs, chains) key. A cache hit
-    replays the recorded ``dep.*`` kind counters, so observability output
-    is identical to an uncached run; ``dep.cache.hits`` / ``.misses``
+    Results are memoized on the canonical (refs, chains) key together
+    with the ``dep.*`` kind counts the analysis made. Hit or miss, those
+    counts are bumped from the entry, so ``dep.*`` totals do not depend
+    on what ran earlier in the process; ``dep.cache.hits`` / ``.misses``
     report the cache's own effectiveness.
     """
     key = (
@@ -338,19 +254,18 @@ def analyze_ref_pair(
         _chain_key(only_a),
         _chain_key(only_b),
     )
-    cache = _pair_cache()
-    cached = cache.get(key)  # the cache emits dep.cache.hits/misses
-    if cached is not None:
-        vectors, events = cached
-        replay_kinds(events)
-        return list(vectors)
-    recorder = _KindRecorder()
-    vectors = _analyze_ref_pair_impl(
-        ref_a, ref_b, common, only_a, only_b, recorder
-    )
-    cache.put(key, (tuple(vectors), tuple(recorder.events)))
-    replay_kinds(recorder.events)
-    return vectors
+    cached = _PAIR_CACHE.get(key)  # the cache emits dep.cache.hits/misses
+    if cached is None:
+        kinds: Counter[str] = Counter()
+        vectors = _analyze_ref_pair_impl(ref_a, ref_b, common, only_a, only_b, kinds)
+        cached = (tuple(vectors), tuple(kinds.items()))
+        _PAIR_CACHE.put(key, cached)
+    vectors, counts = cached
+    obs = get_obs()
+    if obs.enabled:
+        for name, amount in counts:
+            obs.metrics.counter(name).inc(amount)
+    return list(vectors)
 
 
 def _analyze_ref_pair_impl(
@@ -359,15 +274,15 @@ def _analyze_ref_pair_impl(
     common: Sequence[Loop],
     only_a: Sequence[Loop],
     only_b: Sequence[Loop],
-    metrics,
+    kinds: Counter[str],
 ) -> list[DepVector]:
-    system = _pair_system(ref_a, ref_b, common, only_a, only_b, metrics)
+    system = _pair_system(ref_a, ref_b, common, only_a, only_b, kinds)
     if isinstance(system, list):
         return system
     vectors = _closed_form_vectors(system)
     if vectors is None:
         return _fme_vectors(system)
-    metrics.counter("dep.pairs.closed_form").inc()
+    kinds["dep.pairs.closed_form"] += 1
     return vectors
 
 
@@ -397,7 +312,7 @@ def _pair_system(
     common: Sequence[Loop],
     only_a: Sequence[Loop],
     only_b: Sequence[Loop],
-    metrics,
+    kinds: Counter[str],
 ) -> "_PairSystem | list[DepVector]":
     """Rename, screen and pin; a list when screening already decides."""
     if ref_a.array != ref_b.array:
@@ -424,7 +339,7 @@ def _pair_system(
     values_a = [side.value for side in side_common_a]
     values_b = [side.value for side in side_common_b]
 
-    _count_test_kinds(metrics, diffs, values_a, values_b)
+    _count_test_kinds(kinds, diffs, values_a, values_b)
     steps = [loop.step for loop in common]
     uppers = [side.upper for side in side_common_a]
     k = len(common)
@@ -616,11 +531,11 @@ def _fme_vectors(system: _PairSystem) -> list[DepVector]:
 
 
 def _count_test_kinds(
-    metrics, diffs: list[Affine], values_a: list[str], values_b: list[str]
+    kinds: Counter[str], diffs: list[Affine], values_a: list[str], values_b: list[str]
 ) -> None:
     """Classify each subscript dimension as ZIV / SIV / MIV (GKT91 naming)
-    and bump the matching counters (observability only — no screening)."""
-    metrics.counter("dep.pairs").inc()
+    and count the matching kinds (observability only — no screening)."""
+    kinds["dep.pairs"] += 1
     for diff in diffs:
         levels = sum(
             1
@@ -628,11 +543,11 @@ def _count_test_kinds(
             if diff.coeff(va) != 0 or diff.coeff(vb) != 0
         )
         if levels == 0:
-            metrics.counter("dep.test.ziv").inc()
+            kinds["dep.test.ziv"] += 1
         elif levels == 1:
-            metrics.counter("dep.test.siv").inc()
+            kinds["dep.test.siv"] += 1
         else:
-            metrics.counter("dep.test.miv").inc()
+            kinds["dep.test.miv"] += 1
 
 
 def _ziv_gcd_screen(

@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from repro.dependence.tests import recording_kinds, replay_kinds
 from repro.ir.expr import Ref
 from repro.ir.nodes import Loop, Program
 from repro.ir.poly import Poly
 from repro.model.memo import MemoCache
-from repro.model.nest import NestInfo, build_nest_info, nest_structure
+from repro.model.nest import NestInfo, build_nest_info
 from repro.model.refgroup import GROUP_TEMPORAL_MAX_DISTANCE, RefGroup, ref_groups
 
 __all__ = ["CostModel", "RefCostKind", "INVARIANT", "CONSECUTIVE", "NONE"]
@@ -36,15 +35,6 @@ RefCostKind = str
 
 #: Cache size valve (entries are LRU-evicted past it; see repro.model.memo).
 _CACHE_CAP = 4096
-
-#: root (structural) -> (dependence tuple, recorded ``dep.*`` kind
-#: counter bumps), shared across CostModel instances: dependences contain
-#: no loop objects and do not depend on the model's parameters or the
-#: outer context, so structurally identical nests (rebuilt trees, repeated
-#: experiment versions) reuse the expensive region_dependences result. A
-#: hit replays the bumps, so ``dep.*`` totals do not depend on what ran
-#: earlier in the process.
-_DEPS_CACHE = MemoCache("model.nestinfo.cache", cap=_CACHE_CAP)
 
 
 @dataclass
@@ -84,6 +74,10 @@ class CostModel:
     def nest_info(
         self, root: "Loop | Program", outer: tuple[Loop, ...] = ()
     ) -> NestInfo:
+        """The :class:`NestInfo` of ``root`` under ``outer``, memoized on
+        their identity. A miss rebuilds it from this tree; for a nest
+        structurally equal to one analysed before, every dependence pair
+        then hits the pair cache (``dep.cache``)."""
         outer = tuple(outer)
         ident = (id(root),) + tuple(id(l) for l in outer)
         hit = self._info_cache.get(ident)
@@ -94,19 +88,7 @@ class CostModel:
             and all(a is b for a, b in zip(hit[1], outer))
         ):
             return hit[2]
-        cached = _DEPS_CACHE.get(root)
-        if cached is None:
-            with recording_kinds() as kinds:
-                info = build_nest_info(root, outer)
-            _DEPS_CACHE.put(root, (info.deps, tuple(kinds.items())))
-        else:
-            deps, kinds = cached
-            replay_kinds(kinds)
-            # Structural hit: reuse the dependence set, but rebuild the
-            # tree-derived parts from THIS root — consumers compare chain
-            # entries against their own loop objects by identity.
-            loops, chains, sites = nest_structure(root)
-            info = NestInfo(root, loops, chains, sites, deps, outer)
+        info = build_nest_info(root, outer)
         self._info_cache.put(ident, (root, outer, info))
         return info
 

@@ -1,6 +1,8 @@
 """Nest-level context shared by the cost model: loops, sites, trips, deps.
 
-A :class:`NestInfo` is built once per candidate nest and caches everything
+A :class:`NestInfo` is built once per candidate nest tree (the cost model
+memoizes it on identity; the dependence pair memo makes a structurally
+repeated nest cheap to rebuild) and caches everything
 `RefGroup`/`LoopCost` need: the loops of the nest, every reference
 occurrence, the enclosing-loop chain per statement, the dependence set
 (including input dependences, which carry reuse information), and symbolic
@@ -19,7 +21,7 @@ from repro.ir.visit import enclosing_loops, iter_loops, iter_statements
 from repro.dependence.pairs import Dependence, RefSite, region_dependences
 from repro.ir.poly import Poly
 
-__all__ = ["NestInfo", "build_nest_info", "nest_structure", "trip_poly"]
+__all__ = ["NestInfo", "build_nest_info", "trip_poly"]
 
 
 @dataclass
@@ -62,29 +64,27 @@ class NestInfo:
         return len(self.chains[site.sid])
 
 
-def nest_structure(
-    root: "Loop | Program",
-) -> tuple[tuple[Loop, ...], dict[int, tuple[Loop, ...]], tuple[RefSite, ...]]:
-    """The cheap tree-derived parts of a :class:`NestInfo`.
+def build_nest_info(root: "Loop | Program", outer: tuple[Loop, ...] = ()) -> NestInfo:
+    """Analyze ``root`` and package the results.
 
-    Split out so a structurally cached dependence set can be re-packaged
-    with loops/chains from the *caller's* tree — several consumers compare
-    chain entries against their own loop objects by identity.
+    Loops, chains and sites always come from ``root`` itself: several
+    consumers compare chain entries against their own loop objects by
+    identity. The dependence set holds no loop objects, and the pair memo
+    under :func:`region_dependences` serves a structurally repeated nest.
     """
-    loops = tuple(iter_loops(root))
-    chains = enclosing_loops(root)
     sites: list[RefSite] = []
     for stmt in iter_statements(root):
         for slot, ref in enumerate(stmt.refs):
             sites.append(RefSite(stmt.sid, slot, ref, is_write=(slot == 0)))
-    return loops, chains, tuple(sites)
-
-
-def build_nest_info(root: "Loop | Program", outer: tuple[Loop, ...] = ()) -> NestInfo:
-    """Analyze ``root`` and package the results."""
-    loops, chains, sites = nest_structure(root)
     deps = tuple(region_dependences(root, include_inputs=True))
-    return NestInfo(root, loops, chains, sites, deps, tuple(outer))
+    return NestInfo(
+        root,
+        tuple(iter_loops(root)),
+        enclosing_loops(root),
+        tuple(sites),
+        deps,
+        tuple(outer),
+    )
 
 
 def trip_poly(loop: Loop, loop_by_var: dict[str, Loop]) -> Poly:

@@ -36,13 +36,11 @@ talk to it with :mod:`repro.server.client` or plain ``curl``.
 """
 
 from repro.server.app import ReproServer, serve
-from repro.server.cache import ResultCache
 from repro.server.config import ServerConfig
 from repro.server.protocol import SCHEMA_VERSION, ProtocolError
 
 __all__ = [
     "ReproServer",
-    "ResultCache",
     "SCHEMA_VERSION",
     "ServerConfig",
     "ProtocolError",

@@ -7,8 +7,8 @@ compile server, not a CDN). The request path:
 1. **Admission** — draining → 503; body over the cap → 413; malformed
    JSON / schema / source → 400 (parse diagnostics included).
 2. **Cache** — the canonical content address (endpoint + nest digest +
-   params digest) is looked up in the shared :class:`ResultCache`; a
-   hit replays the stored bytes (``X-Repro-Cache: hit``).
+   params digest) is looked up in the shared result cache of response
+   bytes; a hit replays the stored bytes (``X-Repro-Cache: hit``).
 3. **Single flight** — concurrent identical misses share one
    computation; only the leader enqueues work.
 4. **Bounded queue** — a full queue answers 429 + ``Retry-After``
@@ -42,8 +42,9 @@ from repro.experiments.common import ShardFailure, run_sharded
 # Not called here (requests carry their canonical text); perfbench's
 # traced run wraps this name, so it stays importable.
 from repro.ir.pretty import pretty_program  # noqa: F401
+from repro.model.memo import MemoCache
 from repro.obs import NULL_OBS, Obs, use_obs
-from repro.server.cache import ResultCache, SingleFlight
+from repro.server.cache import SingleFlight
 from repro.server.config import ServerConfig
 from repro.server.handlers import execute
 from repro.server.protocol import (
@@ -114,7 +115,12 @@ class ReproServer:
 
     def __init__(self, config: ServerConfig | None = None):
         self.config = config or ServerConfig.from_env()
-        self.cache = ResultCache(cap=self.config.cache_cap)
+        # Response bytes, not payload dicts: a hit is byte-identical to
+        # the miss that stored it. Owned by this server (unregistered);
+        # /metrics exports its stats.
+        self.cache = MemoCache(
+            "server.results", cap=self.config.cache_cap, register=False
+        )
         self.flight = SingleFlight()
         self.obs = Obs()
         self._queue: asyncio.Queue = asyncio.Queue(

@@ -1,17 +1,13 @@
-"""The content-addressed result cache and single-flight deduplication.
+"""Single-flight deduplication in front of the server's result cache.
 
-Two layers, both keyed on :attr:`CompileRequest.cache_key` (endpoint +
-canonical nest digest + parameter digest):
-
-* :class:`ResultCache` — completed response *bytes* in a
-  :class:`repro.model.memo.MemoCache` (LRU eviction, hit/miss/eviction
-  counters, thread-safe), shared across every endpoint. Storing the
-  serialized bytes — not the payload dict — makes a hit byte-identical
-  to the miss that populated it, by construction.
-* :class:`SingleFlight` — an asyncio future per *in-flight* key:
-  concurrent identical requests await the leader's future instead of
-  enqueueing duplicate work. Failures propagate to every waiter but are
-  never cached, so a transient fault doesn't poison the key.
+Both are keyed on :attr:`CompileRequest.cache_key` (endpoint + canonical
+nest digest + parameter digest). The result cache itself is a plain
+:class:`repro.model.memo.MemoCache` of response bytes on
+:class:`repro.server.app.ReproServer`. :class:`SingleFlight` keeps an
+asyncio future per *in-flight* key: concurrent identical requests await
+the leader's future instead of enqueueing duplicate work. Failures
+propagate to every waiter but are never cached, so a transient fault
+doesn't poison the key.
 """
 
 from __future__ import annotations
@@ -19,51 +15,7 @@ from __future__ import annotations
 import asyncio
 from typing import Awaitable, Callable
 
-from repro.model.memo import MemoCache
-
-__all__ = ["ResultCache", "SingleFlight"]
-
-
-class ResultCache:
-    """Serialized response bytes, content-addressed and LRU-evicted.
-
-    A thin facade over :class:`MemoCache` (``register=False`` — each
-    server instance owns its cache; /metrics exports the stats) that
-    only ever stores ``bytes``.
-    """
-
-    def __init__(self, cap: int = 1024, name: str = "server.results"):
-        self._memo = MemoCache(name, cap=cap, register=False)
-
-    def get(self, key: str) -> bytes | None:
-        value = self._memo.get(key)
-        assert value is None or isinstance(value, bytes)
-        return value
-
-    def put(self, key: str, body: bytes) -> None:
-        if not isinstance(body, bytes):
-            raise TypeError("ResultCache stores serialized response bytes")
-        self._memo.put(key, body)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._memo
-
-    def __len__(self) -> int:
-        return len(self._memo)
-
-    def clear(self) -> None:
-        self._memo.clear()
-
-    @property
-    def hits(self) -> int:
-        return self._memo.hits
-
-    @property
-    def misses(self) -> int:
-        return self._memo.misses
-
-    def stats(self) -> dict:
-        return self._memo.stats()
+__all__ = ["SingleFlight"]
 
 
 class SingleFlight:

@@ -52,11 +52,10 @@ def order_is_legal(
 ) -> bool:
     """Is the permutation sending position j to old loop index
     ``old_index_order[j]`` legal? ``reversed_positions`` are new positions
-    whose loop runs reversed."""
-    return all(
-        _vector_legal(vec, old_index_order, reversed_positions)
-        for vec in vectors
-    )
+    whose loop runs reversed. On a complete order this is
+    :func:`prefix_is_legal`: each vector's first component that is not
+    '=' must be '<' (an all-'=' vector is loop independent)."""
+    return prefix_is_legal(vectors, old_index_order, reversed_positions)
 
 
 def prefix_is_legal(
@@ -72,36 +71,13 @@ def prefix_is_legal(
     in original relative order).
     """
     for vec in vectors:
-        ok = False
-        decided = False
         for pos, old_idx in enumerate(prefix_old_indices):
             comp = vec[old_idx]
             if pos in reversed_positions:
                 comp = _negate(comp)
             direction = _direction(comp)
             if direction == "<":
-                ok, decided = True, True
                 break
             if direction in (">", "*"):
-                ok, decided = False, True
-                break
-        if decided and not ok:
-            return False
+                return False
     return True
-
-
-def _vector_legal(
-    vec: DepVector,
-    old_index_order: Sequence[int],
-    reversed_positions: frozenset[int],
-) -> bool:
-    for pos, old_idx in enumerate(old_index_order):
-        comp = vec[old_idx]
-        if pos in reversed_positions:
-            comp = _negate(comp)
-        direction = _direction(comp)
-        if direction == "<":
-            return True
-        if direction in (">", "*"):
-            return False
-    return True  # all '=' (loop independent)

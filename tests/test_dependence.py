@@ -2,6 +2,7 @@
 brute-force soundness checks (including a hypothesis property)."""
 
 import random
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -472,9 +473,7 @@ class TestClassicSIVCases:
 # ----------------------------------------------------------------------
 def closed_and_fme(ref_a, ref_b, common, only_a=()):
     """(closed form or None, FME vectors) of one pair screening left open."""
-    system = dep_tests._pair_system(
-        ref_a, ref_b, common, only_a, (), dep_tests._KindRecorder()
-    )
+    system = dep_tests._pair_system(ref_a, ref_b, common, only_a, (), Counter())
     assert not isinstance(system, list), "screening decided the pair"
     return dep_tests._closed_form_vectors(system), dep_tests._fme_vectors(system)
 
@@ -488,11 +487,11 @@ def recorded_pairs():
     seen = []
     real = dep_tests._analyze_ref_pair_impl
 
-    def record(ref_a, ref_b, common, only_a, only_b, metrics):
+    def record(ref_a, ref_b, common, only_a, only_b, kinds):
         seen.append((ref_a, ref_b, tuple(common), tuple(only_a), tuple(only_b)))
-        return real(ref_a, ref_b, common, only_a, only_b, metrics)
+        return real(ref_a, ref_b, common, only_a, only_b, kinds)
 
-    dep_tests._pair_cache().clear()
+    dep_tests._PAIR_CACHE.clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dep_tests, "_analyze_ref_pair_impl", record)
         yield seen
@@ -502,7 +501,7 @@ def closed_form_mismatches(pairs):
     """Eligible-pair count, and each pair whose closed form differs from FME."""
     eligible, wrong = 0, []
     for args in pairs:
-        system = dep_tests._pair_system(*args, dep_tests._KindRecorder())
+        system = dep_tests._pair_system(*args, Counter())
         if isinstance(system, list):
             continue
         closed = dep_tests._closed_form_vectors(system)
@@ -603,7 +602,7 @@ class TestClosedFormPairs:
                 region_dependences(program, include_inputs=True)
                 return obs.metrics.snapshot()["counters"]
 
-        dep_tests._pair_cache().clear()
+        dep_tests._PAIR_CACHE.clear()
         cold = counters()
         warm = counters()
         assert warm.get("dep.cache.misses", 0) == 0

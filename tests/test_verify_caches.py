@@ -1,9 +1,9 @@
 """Differential fuzzing of the memoization caches against fresh computation.
 
-The cost model keeps three caches — the per-model ``nest_info`` identity
-cache, the structural ``loop_cost`` cache, and the module-level shared
-dependence cache — the dependence layer memoizes ``analyze_ref_pair``
-results, and the locality predictor memoizes compiled chain counts by
+The cost model keeps two caches — the per-model ``nest_info`` identity
+cache and the structural ``loop_cost`` cache — the dependence layer
+memoizes ``analyze_ref_pair`` results in the module-level shared pair
+cache, and the locality predictor memoizes compiled chain counts by
 chain shape. A warm cache must never change an answer: for generated nests,
 results served by a model that has already seen the original tree (or a
 structurally identical rebuild, or a key-colliding mutant) must match a
@@ -21,7 +21,6 @@ from repro.ir import Affine, Loop, Ref
 from repro.ir.nodes import Loop as LoopNode
 from repro.locality import predict_locality
 from repro.model import CostModel
-from repro.model.loopcost import _DEPS_CACHE
 from repro.model.memo import registered_caches
 from repro.verify.gennest import generate_program
 from repro.verify.runner import case_rng
@@ -70,16 +69,17 @@ class TestCostModelCaches:
 
     @pytest.mark.parametrize("case", range(10))
     def test_shared_deps_cache_survives_rebuilds(self, case):
-        # The module-level dependence cache is keyed structurally; a
-        # rebuilt tree must hit it AND get info bound to its own loop
-        # objects (consumers compare chain entries by identity).
+        # The module-level pair cache is keyed structurally; a rebuilt
+        # tree must find every pair in it AND get info bound to its own
+        # loop objects (consumers compare chain entries by identity).
         program = generate_program(case_rng(2, case), name=f"DC{case}")
         rebuilt = copy.deepcopy(program)
         model = CostModel()
         nest, nest2 = _top_nests(program)[0], _top_nests(rebuilt)[0]
         model.nest_info(nest)
-        assert nest2 in _DEPS_CACHE or nest in _DEPS_CACHE
+        misses = _PAIR_CACHE.misses
         info = model.nest_info(nest2)
+        assert _PAIR_CACHE.misses == misses
         assert info.loops[0] is nest2
 
     def test_identity_cache_returns_same_info(self):
