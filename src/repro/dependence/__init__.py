@@ -1,6 +1,6 @@
 """Data dependence analysis: tests, vectors, pair driver, graph."""
 
-from repro.dependence.graph import DependenceGraph, strongly_connected_components
+from repro.dependence.graph import strongly_connected_components
 from repro.dependence.parallel import carried_levels, is_vectorizable, parallel_loops
 from repro.dependence.pairs import (
     ANTI,
@@ -20,7 +20,6 @@ __all__ = [
     "INPUT",
     "OUTPUT",
     "Dependence",
-    "DependenceGraph",
     "DepVector",
     "RefSite",
     "analyze_ref_pair",

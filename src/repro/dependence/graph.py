@@ -1,84 +1,19 @@
-"""Statement-level dependence graph with SCC (recurrence) machinery.
+"""Tarjan strongly connected components in stable topological order.
 
 Loop distribution needs the *finest partitions* such that statements in a
 recurrence stay together (§4.4): those are the strongly connected
 components of the dependence graph restricted to dependences carried at a
 given level or deeper (plus loop-independent ones), in topological order.
+:func:`repro.transforms.distribution.finest_partitions` builds that graph
+from :func:`repro.dependence.pairs.region_dependences`; this module only
+orders it.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.dependence.pairs import Dependence
-
-__all__ = ["DependenceGraph", "strongly_connected_components"]
-
-
-@dataclass
-class DependenceGraph:
-    """A multigraph over statement sids built from dependence records.
-
-    Input dependences are excluded — they express reuse, not ordering.
-    """
-
-    nodes: tuple[int, ...]
-    edges: dict[int, dict[int, list[Dependence]]] = field(default_factory=dict)
-
-    @staticmethod
-    def build(sids: Iterable[int], deps: Iterable[Dependence]) -> "DependenceGraph":
-        graph = DependenceGraph(tuple(sids))
-        graph.edges = {sid: defaultdict(list) for sid in graph.nodes}
-        node_set = set(graph.nodes)
-        for dep in deps:
-            if not dep.constrains_legality:
-                continue
-            if dep.source.sid in node_set and dep.sink.sid in node_set:
-                graph.edges[dep.source.sid][dep.sink.sid].append(dep)
-        return graph
-
-    def dependences(self) -> list[Dependence]:
-        out: list[Dependence] = []
-        for src in self.nodes:
-            for deps in self.edges[src].values():
-                out.extend(deps)
-        return out
-
-    def restricted_to_level(self, level: int) -> "DependenceGraph":
-        """Keep dependences carried at ``level`` (1-based) or deeper, plus
-        loop-independent ones — the graph used when distributing the loop
-        at ``level``."""
-
-        def keep(dep: Dependence) -> bool:
-            carried = dep.carried_level()
-            return carried is None or carried >= level
-
-        kept = [d for d in self.dependences() if keep(d)]
-        return DependenceGraph.build(self.nodes, kept)
-
-    def successors(self, sid: int) -> list[int]:
-        return list(self.edges.get(sid, {}))
-
-    def sccs(self) -> list[tuple[int, ...]]:
-        """Strongly connected components in topological order."""
-        adjacency = {sid: self.successors(sid) for sid in self.nodes}
-        return strongly_connected_components(self.nodes, adjacency)
-
-    def has_path(self, src: int, dst: int, blocked: frozenset[int] = frozenset()) -> bool:
-        """DFS reachability avoiding ``blocked`` intermediate nodes."""
-        stack = [src]
-        seen = {src}
-        while stack:
-            node = stack.pop()
-            for nxt in self.successors(node):
-                if nxt == dst:
-                    return True
-                if nxt not in seen and nxt not in blocked:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
+__all__ = ["strongly_connected_components"]
 
 
 def strongly_connected_components(

@@ -3,9 +3,8 @@
 Checks are small classes registered by decorating with :func:`register`;
 the engine instantiates every registered check (or a selected subset)
 and runs them over one :class:`LintContext`. The context owns the
-expensive shared analyses — dependences, the analytic locality
-prediction, span lookup tables — computed lazily and exactly once per
-linted program.
+expensive shared analyses — the analytic locality prediction, span
+lookup tables — computed lazily and exactly once per linted program.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.model.loopcost import CostModel
 from repro.model.oracle import AnalyticOracle
 
 if TYPE_CHECKING:
-    from repro.dependence.pairs import Dependence
     from repro.locality.analytic import LocalityPrediction
 
 __all__ = [
@@ -51,7 +49,6 @@ class LintContext:
         #: one the autotuner plans with, so lint and autotune rank
         #: candidates identically (and share the prediction memo cache).
         self.oracle = AnalyticOracle(line=line, capacity=capacity)
-        self._deps: list[Dependence] | None = None
         self._prediction: LocalityPrediction | None = None
         self._stmt_spans: dict[int, Span] | None = None
         self._loop_spans: dict[str, Span] | None = None
@@ -59,14 +56,6 @@ class LintContext:
     # ------------------------------------------------------------------
     # Shared lazy analyses
     # ------------------------------------------------------------------
-    def dependences(self) -> "list[Dependence]":
-        """Legality-relevant dependences over the whole program."""
-        if self._deps is None:
-            from repro.dependence.pairs import region_dependences
-
-            self._deps = region_dependences(self.program)
-        return self._deps
-
     def prediction(self) -> "LocalityPrediction":
         """Analytic locality prediction of the (unmodified) program."""
         if self._prediction is None:

@@ -57,7 +57,6 @@ __all__ = [
     "capped",
     "capped_params",
     "predicted_misses",
-    "predicted_miss_ratio",
     "VERIFY_PARAM_CAP",
     "PAYOFF_EPS",
 ]
@@ -250,9 +249,3 @@ def predicted_misses(program: Program, line: int, capacity: int) -> tuple[int, i
 
     prediction = AnalyticOracle(line=line, capacity=capacity).prediction(program)
     return prediction.misses_for_capacity(capacity), prediction.accesses
-
-
-def predicted_miss_ratio(program: Program, line: int, capacity: int) -> float:
-    """Analytic FA-LRU miss ratio of ``program`` at ``capacity`` lines."""
-    misses, accesses = predicted_misses(program, line, capacity)
-    return misses / accesses if accesses else 0.0

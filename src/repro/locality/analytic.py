@@ -48,7 +48,7 @@ from repro.ir.nodes import Assign, Loop, Program
 from repro.ir.visit import enclosing_loops, iter_statements
 from repro.exec.layout import MemoryLayout
 from repro.obs import get_obs
-from repro.locality.polysum import PolySumError, chain_count, weighted_chain_count
+from repro.locality.polysum import PolySumError, weighted_chain_count
 
 __all__ = ["LocalityPrediction", "ReuseTerm", "predict_locality"]
 
@@ -357,23 +357,12 @@ class _NestModel:
 
         return rec(0)
 
-    def accesses(self, slot: _Slot) -> int:
-        try:
-            return chain_count(slot.chain, self.env)
-        except PolySumError:
-            exact = self._enumerate_count(slot.chain)
-            if exact is not None:
-                return exact
-            count = 1
-            for loop in slot.chain:
-                count *= self.trip[id(loop)]
-            return count
+    def _count(self, chain, modes: Mapping[str, str]) -> int:
+        """Weighted iteration count of ``chain`` under ``modes``.
 
-    def carried_count(self, slot: _Slot, carrier_index: int) -> int:
-        """Accesses whose previous same-address access is carried by the
-        chain level at ``carrier_index`` (a non-varying level)."""
-        chain = slot.chain
-        modes = carried_modes(slot, carrier_index)
+        Closed form first, then exact enumeration, then a product of mean
+        trips (``trip`` for full, ``trip - 1`` for pairs, 1 for once).
+        """
         try:
             return weighted_chain_count(chain, self.env, modes)
         except PolySumError:
@@ -381,15 +370,22 @@ class _NestModel:
             if exact is not None:
                 return exact
             count = 1
-            for i, loop in enumerate(chain):
+            for loop in chain:
                 trip = self.trip[id(loop)]
-                if i == carrier_index:
+                mode = modes.get(loop.var, "full")
+                if mode == "pairs":
                     count *= max(trip - 1, 0)
-                elif i > carrier_index and loop.var not in slot.coeffs:
-                    pass  # once
-                else:
+                elif mode == "full":
                     count *= trip
             return count
+
+    def accesses(self, slot: _Slot) -> int:
+        return self._count(slot.chain, {})
+
+    def carried_count(self, slot: _Slot, carrier_index: int) -> int:
+        """Accesses whose previous same-address access is carried by the
+        chain level at ``carrier_index`` (a non-varying level)."""
+        return self._count(slot.chain, carried_modes(slot, carrier_index))
 
     # -- footprints ----------------------------------------------------
     @staticmethod

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dependence.graph import DependenceGraph
+from repro.dependence.graph import strongly_connected_components
 from repro.dependence.pairs import region_dependences
 from repro.ir.nodes import Assign, Loop
-from repro.ir.visit import fresh_name, iter_loops, iter_statements, rename_loops
+from repro.ir.visit import fresh_name, iter_loops, rename_loops
 from repro.model.loopcost import CostModel
 from repro.obs import get_obs
 from repro.transforms.permute import PermuteResult, apply_order, permute_nest
@@ -92,8 +92,6 @@ def finest_partitions(
             adjacency[a].append(b)
         elif carried is not None:
             adjacency[a].append(a)  # self recurrence, keeps item whole
-
-    from repro.dependence.graph import strongly_connected_components
 
     sccs = strongly_connected_components(list(range(len(target.body))), adjacency)
     return [tuple(target.body[i] for i in comp) for comp in sccs]

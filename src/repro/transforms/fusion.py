@@ -16,18 +16,14 @@ locality benefit and fusion is legal:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.dependence.pairs import region_dependences
-from repro.dependence.tests import analyze_ref_pair
+# Not called here (legality reads region_dependences); perfbench's traced
+# run wraps this name, so it stays importable.
+from repro.dependence.tests import analyze_ref_pair  # noqa: F401
 from repro.ir.nodes import Assign, Loop, Program
-from repro.ir.visit import (
-    enclosing_loops,
-    fresh_name,
-    iter_loops,
-    iter_statements,
-    rename_loops,
-)
+from repro.ir.visit import rename_loops
 from repro.model.loopcost import CostModel
 from repro.obs import get_obs
 
@@ -98,42 +94,18 @@ def fuse_pair(l1: Loop, l2: Loop, depth: int) -> Loop:
 def fusion_preventing(l1: Loop, l2: Loop, depth: int) -> bool:
     """Would fusing reverse a cross-nest dependence?
 
-    Builds the fused candidate and checks every cross pair of references:
-    a feasible dependence vector that is not lexicographically
-    non-negative means some instance of the (textually later) second body
-    would need to execute before the matching instance of the first —
-    fusion is illegal. Leading '*' components (e.g. scalar traffic) are
-    conservatively illegal.
+    Reads the dependences of the fused candidate: a dependence whose
+    source lies in the (textually later) second body and whose sink lies
+    in the first means some instance of the second body would need to
+    execute before the matching instance of the first — fusion is
+    illegal. The pair driver orients a lexicographically negative vector,
+    and the '>' case of a leading '*' (e.g. scalar traffic), exactly so.
     """
     sids1 = {s.sid for s in l1.statements}
-    fused = fuse_pair(l1, l2, depth)
-    chains = enclosing_loops(fused)
-    stmts = {s.sid: s for s in iter_statements(fused)}
-    for sid_a, stmt_a in stmts.items():
-        for sid_b, stmt_b in stmts.items():
-            if (sid_a in sids1) == (sid_b in sids1):
-                continue  # same original nest
-            if sid_a not in sids1:
-                continue  # consider pairs (first nest, second nest) once
-            chain_a, chain_b = chains[sid_a], chains[sid_b]
-            k = 0
-            while (
-                k < len(chain_a)
-                and k < len(chain_b)
-                and chain_a[k] is chain_b[k]
-            ):
-                k += 1
-            for ref_a in stmt_a.refs:
-                for ref_b in stmt_b.refs:
-                    writes = (ref_a is stmt_a.lhs) or (ref_b is stmt_b.lhs)
-                    if not writes or ref_a.array != ref_b.array:
-                        continue
-                    vectors = analyze_ref_pair(
-                        ref_a, ref_b, chain_a[:k], chain_a[k:], chain_b[k:]
-                    )
-                    if any(not v.is_legal() for v in vectors):
-                        return True
-    return False
+    return any(
+        dep.source.sid not in sids1 and dep.sink.sid in sids1
+        for dep in region_dependences(fuse_pair(l1, l2, depth))
+    )
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +303,7 @@ def _fuse_run(
             candidate = fuse_pair(current[a], current[b], d)
             if not fits_in_cache(
                 candidate,
-                CostModel(cls=model.cls),
+                CostModel(cls=model.cls, temporal_max=model.temporal_max),
                 cache_bytes,
                 line_bytes,
                 env=param_env,

@@ -5,7 +5,7 @@ import pytest
 from repro.frontend import parse_program
 from repro.model import CostModel
 from repro.model.capacity import fits_in_cache, inner_loop_footprint
-from repro.transforms import fuse_adjacent
+from repro.transforms import compound, fuse_adjacent, fuse_pair
 
 SOURCE = """
 PROGRAM p
@@ -90,8 +90,6 @@ class TestFusionCapacityGuard:
 
 class TestCompoundWithCapacity:
     def test_compound_accepts_capacity(self, program):
-        from repro.transforms import compound
-
         free = compound(program, CostModel(cls=4))
         guarded = compound(
             program, CostModel(cls=4), cache_capacity=(16 * 1024, 32)
@@ -106,3 +104,35 @@ class TestCompoundWithCapacity:
         b = run_program(guarded.program)
         for name in a:
             np.testing.assert_allclose(a[name], b[name], rtol=1e-12)
+
+
+class TestVetoUsesModelTemporalMax:
+    # A(1,J) and A(1,J+2) form one temporal group only when temporal_max
+    # admits the distance 2, so the merged footprint depends on it.
+    SOURCE = """
+    PROGRAM p
+    PARAMETER N = 64
+    REAL A(N,N), B(N), C(N), D(N)
+    DO J = 1, N-2
+      B(J) = A(1,J) + D(J)
+    ENDDO
+    DO K = 1, N-2
+      C(K) = A(1,K+2) + D(K)
+    ENDDO
+    END
+    """
+
+    def test_footprint_depends_on_temporal_max(self):
+        program = parse_program(self.SOURCE)
+        fused = fuse_pair(*program.top_loops, 1)
+        env = program.param_env
+        strict = inner_loop_footprint(fused, CostModel(cls=4, temporal_max=0), 32, env)
+        loose = inner_loop_footprint(fused, CostModel(cls=4), 32, env)
+        assert 2 * loose <= 8 * 1024 < 2 * strict
+
+    def test_compound_veto_scores_with_model_temporal_max(self):
+        program = parse_program(self.SOURCE)
+        model = CostModel(cls=4, temporal_max=0)
+        # 8KB holds the merged sweep only if A's two refs share lines.
+        assert compound(program, model, cache_capacity=(8 * 1024, 32)).nests_fused == 0
+        assert compound(program, model, cache_capacity=(32 * 1024, 32)).nests_fused == 1

@@ -1,10 +1,11 @@
-"""Tests for the dependence graph and SCC machinery."""
+"""Tests for the SCC machinery and distribution's statement graph."""
 
 from hypothesis import given, strategies as st
 
-from repro.dependence import DependenceGraph, region_dependences
+from repro.dependence import region_dependences
 from repro.dependence.graph import strongly_connected_components
 from repro.frontend import parse_program
+from repro.transforms import finest_partitions
 
 
 class TestSCC:
@@ -60,16 +61,15 @@ class TestSCC:
             assert comp_of[a] <= comp_of[b]
 
 
-class TestDependenceGraph:
-    def _graph(self, source):
-        prog = parse_program(source)
-        loop = prog.top_loops[0]
-        deps = region_dependences(loop)
-        sids = [s.sid for s in loop.statements]
-        return DependenceGraph.build(sids, deps)
+class TestFinestPartitions:
+    """Distribution's statement graph: SCCs of the legality dependences."""
+
+    @staticmethod
+    def _nest(source):
+        return parse_program(source).top_loops[0]
 
     def test_recurrence_detected(self):
-        graph = self._graph(
+        loop = self._nest(
             """
             PROGRAM p
             PARAMETER N = 10
@@ -81,11 +81,10 @@ class TestDependenceGraph:
             END
             """
         )
-        sccs = graph.sccs()
-        assert sccs == [(0, 1)]
+        assert finest_partitions(loop, loop, 1) == [tuple(loop.body)]
 
     def test_independent_statements_split(self):
-        graph = self._graph(
+        loop = self._nest(
             """
             PROGRAM p
             PARAMETER N = 10
@@ -97,64 +96,53 @@ class TestDependenceGraph:
             END
             """
         )
-        assert graph.sccs() == [(0,), (1,)]
+        first, second = loop.body
+        assert finest_partitions(loop, loop, 1) == [(first,), (second,)]
 
     def test_restrict_to_level_breaks_outer_recurrence(self):
-        # Recurrence carried only by the OUTER loop: restricting to level 2
-        # (inner) drops those edges and the statements separate.
-        prog = parse_program(
-            """
+        # At level 2 the intact outer loop preserves a recurrence it
+        # carries, so the statements separate; one the inner loop
+        # carries stays whole.
+        template = """
             PROGRAM p
             PARAMETER N = 10
             REAL A(N,N), B(N,N)
             DO I = 2, N
-              DO J = 1, N
-                A(I,J) = B(I-1,J)
-                B(I,J) = A(I-1,J)
+              DO J = 2, N
+                A(I,J) = B({prev})
+                B(I,J) = A({prev})
               ENDDO
             ENDDO
             END
             """
-        )
-        loop = prog.top_loops[0]
-        deps = region_dependences(loop)
-        graph = DependenceGraph.build([0, 1], deps)
-        assert graph.sccs() == [(0, 1)]
-        inner_only = graph.restricted_to_level(2)
-        assert inner_only.sccs() == [(0,), (1,)]
+        outer = self._nest(template.format(prev="I-1,J"))
+        inner = outer.body[0]
+        first, second = inner.body
+        assert finest_partitions(outer, inner, 2) == [(first,), (second,)]
+        outer = self._nest(template.format(prev="I,J-1"))
+        inner = outer.body[0]
+        assert finest_partitions(outer, inner, 2) == [tuple(inner.body)]
 
     def test_input_dependences_excluded(self):
-        prog = parse_program(
+        # The two statements read each other's A elements an iteration
+        # apart both ways: a cycle of input dependences only.
+        loop = self._nest(
             """
             PROGRAM p
             PARAMETER N = 10
             REAL A(N), B(N), C(N)
-            DO I = 1, N
-              B(I) = A(I)
-              C(I) = A(I)
+            DO I = 1, N - 1
+              B(I) = A(I) + A(I+1)
+              C(I) = A(I) + A(I+1)
             ENDDO
             END
             """
         )
-        loop = prog.top_loops[0]
-        deps = region_dependences(loop, include_inputs=True)
-        graph = DependenceGraph.build([0, 1], deps)
-        assert graph.successors(0) == []
-
-    def test_has_path(self):
-        graph = self._graph(
-            """
-            PROGRAM p
-            PARAMETER N = 10
-            REAL A(N), B(N), C(N)
-            DO I = 1, N
-              A(I) = 1.0
-              B(I) = A(I)
-              C(I) = B(I)
-            ENDDO
-            END
-            """
-        )
-        assert graph.has_path(0, 2)
-        assert not graph.has_path(2, 0)
-        assert not graph.has_path(0, 2, blocked=frozenset({1}))
+        first, second = loop.body
+        reads = {
+            (d.source.sid, d.sink.sid)
+            for d in region_dependences(loop, include_inputs=True)
+            if d.carried_level() == 1
+        }
+        assert {(first.sid, second.sid), (second.sid, first.sid)} <= reads
+        assert finest_partitions(loop, loop, 1) == [(first,), (second,)]

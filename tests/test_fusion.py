@@ -162,6 +162,72 @@ class TestFusionPreventing:
         # legality question at depth 1 anyway.
         assert fusion_preventing(a, b, 1)
 
+    def test_scalar_carried_across_nests_prevents(self):
+        # S has no subscript: the cross-nest vector is a leading '*', whose
+        # '>' case runs from the second body back into the first.
+        prog = parse_program(
+            """
+            PROGRAM p
+            PARAMETER N = 8
+            REAL A(N), B(N)
+            DO I = 1, N
+              S = A(I)
+            ENDDO
+            DO J = 1, N
+              B(J) = S
+            ENDDO
+            END
+            """
+        )
+        a, b = prog.top_loops
+        assert fusion_preventing(a, b, 1)
+
+    def test_backward_anti_dependence_prevents(self):
+        # Fused, iteration J would overwrite A(J) before iteration J+1 of
+        # the first body reads it as A(I-1).
+        prog = parse_program(
+            """
+            PROGRAM p
+            PARAMETER N = 8
+            REAL A(N), C(N)
+            DO I = 2, N
+              C(I) = A(I-1)
+            ENDDO
+            DO J = 2, N
+              A(J) = 1.0
+            ENDDO
+            END
+            """
+        )
+        a, b = prog.top_loops
+        assert fusion_preventing(a, b, 1)
+
+    def test_reversal_at_inner_level_only(self):
+        # A(I2,J2+1) is written by the first body at a later J: fusing the
+        # outer loop alone keeps that order, fusing both levels reverses it.
+        prog = parse_program(
+            """
+            PROGRAM p
+            PARAMETER N = 8
+            REAL A(N,N), C(N,N)
+            DO I = 1, N
+              DO J = 1, N - 1
+                A(I,J) = 1.0
+              ENDDO
+            ENDDO
+            DO I2 = 1, N
+              DO J2 = 1, N - 1
+                C(I2,J2) = A(I2,J2+1)
+              ENDDO
+            ENDDO
+            END
+            """
+        )
+        a, b = prog.top_loops
+        assert compatible_depth(a, b) == 2
+        assert not fusion_preventing(a, b, 1)
+        assert fusion_preventing(a, b, 2)
+
     def test_backward_distance_ok(self):
         # Reading A(J-1) after fusion is fine: already computed.
         prog = parse_program(
