@@ -29,9 +29,10 @@ Shape of the search:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.ir.nodes import Loop, Program
+from repro.ir.visit import replace_at
 from repro.model.loopcost import CostModel
 from repro.model.oracle import (
     AnalyticOracle,
@@ -87,30 +88,25 @@ class AutotuneResult:
 
 @dataclass
 class _Evaluator:
-    """Budgeted, memoized access to the planning oracle."""
+    """Budgeted access to the planning oracle (callers dedup candidates)."""
 
     oracle: AnalyticOracle
     budget: int
     evals: int = 0
     eval_s: float = 0.0
     generated: int = 0
-    memo: dict = field(default_factory=dict)
 
     @property
     def exhausted(self) -> bool:
         return self.evals >= self.budget
 
-    def cost(self, text: str, program: Program) -> OracleCost | None:
-        cached = self.memo.get(text)
-        if cached is not None:
-            return cached
+    def cost(self, program: Program) -> OracleCost | None:
         if self.exhausted:
             return None
         start = time.perf_counter()
         cost = self.oracle.cost(program)
         self.eval_s += time.perf_counter() - start
         self.evals += 1
-        self.memo[text] = cost
         return cost
 
 
@@ -176,7 +172,7 @@ def autotune(
                 # recipe, so verification can replay it.
                 existing = pool[text] = replace(existing, recipe=recipe)
             return existing
-        cost = evaluator.cost(text, prog)
+        cost = evaluator.cost(prog)
         if cost is None:
             return None  # budget exhausted
         candidate = Candidate(prog, text, source, fusion, plans, cost, recipe=recipe)
@@ -227,10 +223,10 @@ def autotune(
                             if new_nest is item:
                                 expansions.append(state)
                                 continue
-                            body = list(state.program.body)
-                            body[slot] = new_nest
                             nxt = add(
-                                state.program.with_body(body),
+                                state.program.with_body(
+                                    replace_at(state.program.body, (slot,), (new_nest,))
+                                ),
                                 "search",
                                 label,
                                 state.plans + (plan,),

@@ -16,7 +16,7 @@ level within the nest.
 from __future__ import annotations
 
 from repro.ir.nodes import Loop
-from repro.ir.visit import enclosing_loops
+from repro.ir.visit import enclosing_loops, innermost_loops
 from repro.dependence.pairs import region_dependences
 
 __all__ = ["parallel_loops", "carried_levels", "is_vectorizable"]
@@ -67,14 +67,4 @@ def is_vectorizable(nest_root: Loop) -> bool:
     of locality, which is exactly the trade §5.7 describes for Simple.
     """
     carried = carried_levels(nest_root)
-
-    def innermost(loop: Loop) -> list[Loop]:
-        inner = [i for i in loop.body if isinstance(i, Loop)]
-        if not inner:
-            return [loop]
-        out: list[Loop] = []
-        for item in inner:
-            out.extend(innermost(item))
-        return out
-
-    return any(not carried[loop.var] for loop in innermost(nest_root))
+    return any(not carried[loop.var] for loop in innermost_loops(nest_root))

@@ -1,12 +1,19 @@
-"""Tree walkers and query helpers over the IR.
+"""Tree walkers, query helpers and index-path edits over the IR.
 
 These are free functions (not a visitor class hierarchy): the IR is small
 and immutable, and most analyses want simple generators or index maps.
+
+A node is addressed by its *path*: body indices from a body tuple down to
+the node, e.g. ``(2,)`` for the third item of the body and ``(2, 0)`` for
+the first item in that item's body. The path helpers take the body, so
+they serve a program (``program.body``, rebuilt with
+``program.with_body``) and a single nest (``(nest,)`` with
+``(0,) + path``) alike.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.errors import IRError
 from repro.ir.affine import Affine, as_affine
@@ -26,7 +33,13 @@ __all__ = [
     "rename_loops",
     "fresh_name",
     "substitute_expr",
+    "Path",
+    "node_at",
+    "loops_above",
+    "replace_at",
 ]
+
+Path = tuple[int, ...]
 
 
 def iter_nodes(root: "Program | Loop") -> Iterator["Loop | Assign"]:
@@ -55,6 +68,33 @@ def innermost_loops(root: "Program | Loop") -> list[Loop]:
         for loop in iter_loops(root)
         if not any(isinstance(item, Loop) for item in loop.body)
     ]
+
+
+def node_at(body: Sequence["Loop | Assign"], path: Path) -> "Loop | Assign":
+    """The node at ``path`` under ``body``."""
+    node = body[path[0]]
+    for index in path[1:]:
+        node = node.body[index]  # type: ignore[union-attr]
+    return node
+
+
+def loops_above(body: Sequence["Loop | Assign"], path: Path) -> tuple[Loop, ...]:
+    """The loops enclosing the node at ``path``, outermost first."""
+    return tuple(
+        node_at(body, path[:depth]) for depth in range(1, len(path))  # type: ignore[misc]
+    )
+
+
+def replace_at(
+    body: Sequence["Loop | Assign"], path: Path, nodes: Sequence["Loop | Assign"]
+) -> tuple["Loop | Assign", ...]:
+    """``body`` with the node at ``path`` replaced by ``nodes`` (any number,
+    none deletes it)."""
+    index = path[0]
+    if len(path) > 1:
+        loop: Loop = body[index]  # type: ignore[assignment]
+        nodes = (loop.with_body(replace_at(loop.body, path[1:], nodes)),)
+    return tuple(body[:index]) + tuple(nodes) + tuple(body[index + 1 :])
 
 
 def iter_statements(root: "Program | Loop") -> Iterator[Assign]:

@@ -26,7 +26,8 @@ from repro.dependence.pairs import Dependence, region_dependences
 from repro.dependence.parallel import carried_levels
 from repro.ir.affine import Affine
 from repro.ir.expr import Ref
-from repro.ir.nodes import Assign, Loop, Program
+from repro.ir.nodes import Assign, Loop
+from repro.ir.visit import innermost_loops
 from repro.lint.diagnostics import NOTE, WARNING, Diagnostic, FixIt
 from repro.lint.registry import LintCheck, LintContext, register
 from repro.model.loopcost import CONSECUTIVE, INVARIANT
@@ -71,7 +72,7 @@ class StrideCheck(LintCheck):
     def run(self, ctx: LintContext) -> list[Diagnostic]:
         out: list[Diagnostic] = []
         for _index, nest in ctx.top_nests():
-            for loop in ctx.innermost_loops(nest):
+            for loop in innermost_loops(nest):
                 seen: set[Ref] = set()
                 for stmt in loop.statements:
                     for ref in stmt.refs:
@@ -141,6 +142,9 @@ class LoopOrderCheck(LintCheck):
                     description += (
                         f" (reversing {', '.join(result.reversed_loops)})"
                     )
+                recipe = Recipe(
+                    (Permute((index,), result.order, result.reversed_loops),)
+                )
                 out.append(
                     Diagnostic(
                         self.check_id,
@@ -151,16 +155,7 @@ class LoopOrderCheck(LintCheck):
                         loops=result.original,
                         data={"desired": desired, "achieved": achieved},
                         fixit=FixIt(
-                            "permute",
-                            description,
-                            ctx.replace_top(index, (result.loop,)),
-                            recipe=Recipe(
-                                (
-                                    Permute(
-                                        (index,), result.order, result.reversed_loops
-                                    ),
-                                )
-                            ),
+                            "permute", description, recipe.replay(ctx.program), recipe
                         ),
                     )
                 )
@@ -171,6 +166,7 @@ class LoopOrderCheck(LintCheck):
                 p.applied or p.originally_in_memory_order
                 for p in outcome.permutations
             ):
+                recipe = Recipe((Distribute.of((index,), outcome),))
                 out.append(
                     Diagnostic(
                         self.check_id,
@@ -189,8 +185,8 @@ class LoopOrderCheck(LintCheck):
                             "distribute",
                             f"distribute into {outcome.new_nests} nests and "
                             f"permute each into memory order",
-                            ctx.replace_top(index, outcome.nodes),
-                            recipe=Recipe((Distribute.of((index,), outcome),)),
+                            recipe.replay(ctx.program),
+                            recipe,
                         ),
                     )
                 )
@@ -210,35 +206,6 @@ class LoopOrderCheck(LintCheck):
         return out
 
 
-def _replace_pair(program: Program, first: Loop, fused: Loop) -> Program:
-    """Replace the adjacent pair starting at ``first`` with ``fused``."""
-
-    def rebuild(body: tuple["Loop | Assign", ...]) -> tuple[tuple["Loop | Assign", ...], bool]:
-        out: list[Loop | Assign] = []
-        changed = False
-        i = 0
-        while i < len(body):
-            node = body[i]
-            if node is first:
-                out.append(fused)
-                i += 2
-                changed = True
-                continue
-            if isinstance(node, Loop):
-                new_body, sub_changed = rebuild(node.body)
-                if sub_changed:
-                    node = node.with_body(new_body)
-                    changed = True
-            out.append(node)
-            i += 1
-        return tuple(out), changed
-
-    new_body, changed = rebuild(program.body)
-    if not changed:
-        raise ValueError("fusion target not found in program body")
-    return program.with_body(new_body)
-
-
 @register
 class FusionCheck(LintCheck):
     """LOC003: adjacent compatible nests that could (or cannot) fuse."""
@@ -256,7 +223,6 @@ class FusionCheck(LintCheck):
     def run(self, ctx: LintContext) -> list[Diagnostic]:
         from repro.transforms.fusion import (
             compatible_depth,
-            fuse_pair,
             fusion_benefit,
             fusion_preventing,
         )
@@ -303,7 +269,7 @@ class FusionCheck(LintCheck):
                         )
                     )
                     continue
-                fused = fuse_pair(first, second, depth)
+                recipe = Recipe((Fuse(path, ((i, i + 1, depth),)),))
                 out.append(
                     Diagnostic(
                         self.check_id,
@@ -318,8 +284,8 @@ class FusionCheck(LintCheck):
                             "fuse",
                             f"fuse the {first.var} and {second.var} nests "
                             f"at depth {depth}",
-                            _replace_pair(ctx.program, first, fused),
-                            recipe=Recipe((Fuse(path, ((i, i + 1, depth),)),)),
+                            recipe.replay(ctx.program),
+                            recipe,
                         ),
                     )
                 )
@@ -408,7 +374,7 @@ class ScalarReplaceCheck(LintCheck):
 
         candidates: list[tuple[Loop, Ref, bool]] = []
         for _index, nest in ctx.top_nests():
-            for loop in ctx.innermost_loops(nest):
+            for loop in innermost_loops(nest):
                 stmts = [item for item in loop.body if isinstance(item, Assign)]
                 for ref, written in _promotable_refs(stmts, loop.var):
                     candidates.append((loop, ref, written))
@@ -420,7 +386,7 @@ class ScalarReplaceCheck(LintCheck):
                 "scalar-replace",
                 f"promote {replaced.replaced} invariant reference(s) to scalars",
                 replaced.program,
-                recipe=Recipe((ScalarReplace(),)),
+                Recipe((ScalarReplace(),)),
             )
             if replaced.replaced
             else None

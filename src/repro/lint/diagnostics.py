@@ -52,18 +52,19 @@ class FixIt:
     ``verification`` carries the outcome slug (``oracle`` on success, a
     failure slug otherwise). ``miss_before``/``miss_after`` are analytic
     FA-LRU miss ratios at the engine's reference capacity. ``recipe``
-    is how ``program`` was built from the linted program; verification
-    replays it at capped trip counts. It is not part of the output.
+    is how ``program`` was built from the linted program (checks build
+    ``program`` by replaying it); verification replays it at capped trip
+    counts. It is not part of the output.
     """
 
     transform: str
     description: str
     program: Program
+    recipe: Recipe
     verified: bool = False
     verification: str = "unverified"
     miss_before: float = 0.0
     miss_after: float = 0.0
-    recipe: Recipe | None = None
 
     @property
     def payoff(self) -> float:

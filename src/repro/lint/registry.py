@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, TypeVar
 
-from repro.ir.nodes import Assign, Loop, Program
+from repro.ir.nodes import Loop, Program
 from repro.ir.span import Span
 from repro.ir.visit import iter_loops, iter_statements
 from repro.lint.diagnostics import Diagnostic
@@ -74,18 +74,6 @@ class LintContext:
         for index, item in enumerate(self.program.body):
             if isinstance(item, Loop):
                 yield index, item
-
-    def innermost_loops(self, root: Loop) -> Iterator[Loop]:
-        """Loops of the nest with no loop children (stride anchors)."""
-        for loop in iter_loops(root):
-            if not loop.inner_loops:
-                yield loop
-
-    def replace_top(self, index: int, nodes: "tuple[Loop | Assign, ...]") -> Program:
-        """The program with ``body[index]`` replaced by ``nodes``."""
-        body = list(self.program.body)
-        body[index : index + 1] = list(nodes)
-        return self.program.with_body(body)
 
     # ------------------------------------------------------------------
     # Span anchors

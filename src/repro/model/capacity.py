@@ -23,6 +23,7 @@ trip products), converted to bytes.
 from __future__ import annotations
 
 from repro.ir.nodes import Loop
+from repro.ir.visit import innermost_loops
 from repro.model.loopcost import CostModel
 
 __all__ = ["inner_loop_footprint", "fits_in_cache"]
@@ -42,7 +43,7 @@ def inner_loop_footprint(
     """
     info = model.nest_info(nest)
     total_lines = 0.0
-    for inner in _innermost(nest):
+    for inner in innermost_loops(nest):
         for group in model.groups(nest, inner.var):
             rep = group.representative
             chain = info.chains[rep.sid]
@@ -69,17 +70,3 @@ def fits_in_cache(
     paper's "interference" — without a full [LRW91]-style analysis.
     """
     return inner_loop_footprint(nest, model, line_bytes, env) * 2 <= cache_bytes
-
-
-def _innermost(nest: Loop) -> list[Loop]:
-    out: list[Loop] = []
-
-    def walk(loop: Loop) -> None:
-        inner = [i for i in loop.body if isinstance(i, Loop)]
-        if not inner:
-            out.append(loop)
-        for item in inner:
-            walk(item)
-
-    walk(nest)
-    return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ir.nodes import Assign, Loop, Program
-from repro.ir.visit import iter_loops
+from repro.ir.visit import innermost_loops, iter_loops
 from repro.model.loopcost import CostModel
 from repro.obs import get_obs
 from repro.transforms.distribution import DistributeOutcome, distribute_nest
@@ -200,7 +200,7 @@ def optimize_nest(
         )
         return (nest,), report, None
 
-    inner_orig = _inner_vars(nest) == {desired[-1]}
+    inner_orig = {l.var for l in innermost_loops(nest)} == {desired[-1]}
 
     # --- Fusion of all inner loops to enable permutation (§4.3.2). ----
     fused_perfect = fuse_all(nest)
@@ -247,7 +247,7 @@ def optimize_nest(
 
     # --- Last resort: permute maximal perfect sub-nests in place. -----
     rebuilt, improved_inner = _permute_subnests(nest, model, ())
-    final_inner = _inner_vars(rebuilt) == {desired[-1]}
+    final_inner = {l.var for l in innermost_loops(rebuilt)} == {desired[-1]}
     report = NestReport(
         nest_index,
         depth,
@@ -273,22 +273,6 @@ def _inner_status(res) -> str:
     if res.original and res.desired and res.original[-1] == res.desired[-1]:
         return ORIG
     return PERM if res.inner_in_memory_position else FAIL
-
-
-def _inner_vars(nest: Loop) -> set[str]:
-    """Vars of the innermost loop on every path of the nest."""
-    out: set[str] = set()
-
-    def walk(loop: Loop) -> None:
-        inner = [item for item in loop.body if isinstance(item, Loop)]
-        if not inner:
-            out.add(loop.var)
-            return
-        for item in inner:
-            walk(item)
-
-    walk(nest)
-    return out
 
 
 def _refuse_inner(

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 from repro.dependence.graph import strongly_connected_components
 from repro.dependence.pairs import region_dependences
 from repro.ir.nodes import Assign, Loop
-from repro.ir.visit import fresh_name, iter_loops, rename_loops
+from repro.ir.visit import (
+    Path,
+    fresh_name,
+    iter_loops,
+    loops_above,
+    node_at,
+    rename_loops,
+    replace_at,
+)
 from repro.model.loopcost import CostModel
 from repro.obs import get_obs
 from repro.transforms.permute import PermuteResult, apply_order, permute_nest
@@ -118,9 +126,9 @@ def distribute_nest(
     max_level = max(levels)
     with obs.span("distribute", var=nest_root.var):
         for level in range(max_level - 1 if max_level > 1 else 1, 0, -1):
-            for target in levels.get(level, ()):
+            for path, target in levels.get(level, ()):
                 outcome = _try_distribute(
-                    nest_root, target, level, model, outer_loops, used_names
+                    nest_root, path, target, level, model, outer_loops, used_names
                 )
                 if outcome is not None:
                     if obs.enabled:
@@ -147,21 +155,23 @@ def distribute_nest(
     return None
 
 
-def _loops_by_level(nest_root: Loop) -> dict[int, list[Loop]]:
-    levels: dict[int, list[Loop]] = {}
+def _loops_by_level(nest_root: Loop) -> dict[int, list[tuple[Path, Loop]]]:
+    """Each loop of the nest with its path from the nest root, by level."""
+    levels: dict[int, list[tuple[Path, Loop]]] = {}
 
-    def walk(loop: Loop, level: int) -> None:
-        levels.setdefault(level, []).append(loop)
-        for item in loop.body:
+    def walk(loop: Loop, path: Path) -> None:
+        levels.setdefault(len(path) + 1, []).append((path, loop))
+        for index, item in enumerate(loop.body):
             if isinstance(item, Loop):
-                walk(item, level + 1)
+                walk(item, path + (index,))
 
-    walk(nest_root, 1)
+    walk(nest_root, ())
     return levels
 
 
 def _try_distribute(
     nest_root: Loop,
+    target_path: Path,
     target: Loop,
     level: int,
     model: CostModel,
@@ -172,8 +182,8 @@ def _try_distribute(
     if len(partitions) < 2:
         return None
 
-    path = _path_to(nest_root, target)
-    context = outer_loops + path
+    path = (0,) + target_path
+    context = outer_loops + loops_above((nest_root,), path)
 
     names: list[str] = []
     taken = set(used_names)
@@ -189,7 +199,7 @@ def _try_distribute(
     orders: list[tuple[tuple[str, ...], tuple[str, ...]] | None] = []
     for copy in copies:
         if len(copy.perfect_nest_loops()) >= 2:
-            res = permute_nest(copy, model, outer_loops=context[:-1])
+            res = permute_nest(copy, model, outer_loops=context)
             results.append(res)
             rebuilt.append(res.loop)
             orders.append((res.order, res.reversed_loops) if res.applied else None)
@@ -204,17 +214,13 @@ def _try_distribute(
     if not improved:
         return None
 
-    nodes = _replace(nest_root, target, tuple(rebuilt))
     position = {id(item): i for i, item in enumerate(target.body)}
     return DistributeOutcome(
-        nodes=nodes,
+        nodes=replace_at((nest_root,), path, rebuilt),
         level=level,
         new_nests=len(copies),
         permutations=tuple(results),
-        target_path=tuple(
-            next(i for i, item in enumerate(outer.body) if item is inner)
-            for outer, inner in zip(path, path[1:])
-        ),
+        target_path=target_path,
         partitions=tuple(
             tuple(position[id(item)] for item in partition)
             for partition in partitions
@@ -237,11 +243,9 @@ def replay_distribution(
     No dependence test or cost model runs: the partitions and orders are
     taken as given, so a replay is only as legal as its record.
     """
-    path = [nest_root]
-    for index in target_path:
-        path.append(path[-1].body[index])
-    target = path[-1]
-    context = outer_loops + tuple(path)
+    path = (0,) + target_path
+    target: Loop = node_at((nest_root,), path)  # type: ignore[assignment]
+    context = outer_loops + loops_above((nest_root,), path)
     copies = _copies(
         target,
         [tuple(target.body[i] for i in partition) for partition in partitions],
@@ -250,12 +254,10 @@ def replay_distribution(
     rebuilt = tuple(
         copy
         if plan is None
-        else apply_order(
-            copy.perfect_nest_loops(), plan[0], set(plan[1]), context[:-1]
-        )
+        else apply_order(copy.perfect_nest_loops(), plan[0], set(plan[1]), context)
         for copy, plan in zip(copies, orders)
     )
-    return _replace(nest_root, target, rebuilt)
+    return replace_at((nest_root,), path, rebuilt)
 
 
 def _copies(
@@ -271,45 +273,3 @@ def _copies(
             base if var == target.var else rename_loops(base, {target.var: var})
         )
     return copies
-
-
-def _path_to(nest_root: Loop, target: Loop) -> tuple[Loop, ...]:
-    """Enclosing loops of ``target`` within the nest, outermost first,
-    ending with ``target`` itself."""
-
-    def walk(loop: Loop, path: tuple[Loop, ...]):
-        path = path + (loop,)
-        if loop is target:
-            return path
-        for item in loop.body:
-            if isinstance(item, Loop):
-                found = walk(item, path)
-                if found:
-                    return found
-        return None
-
-    result = walk(nest_root, ())
-    if result is None:
-        raise ValueError("target loop not inside nest")
-    return result
-
-
-def _replace(
-    nest_root: Loop, target: Loop, replacements: tuple["Loop | Assign", ...]
-) -> tuple["Loop | Assign", ...]:
-    """Replace ``target`` by ``replacements`` within the nest tree."""
-    if nest_root is target:
-        return replacements
-
-    def rebuild(loop: Loop) -> Loop:
-        new_body: list[Loop | Assign] = []
-        for item in loop.body:
-            if item is target:
-                new_body.extend(replacements)
-            elif isinstance(item, Loop):
-                new_body.append(rebuild(item))
-            else:
-                new_body.append(item)
-        return loop.with_body(new_body)
-
-    return (rebuild(nest_root),)

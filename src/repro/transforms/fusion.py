@@ -23,7 +23,7 @@ from repro.dependence.pairs import region_dependences
 # run wraps this name, so it stays importable.
 from repro.dependence.tests import analyze_ref_pair  # noqa: F401
 from repro.ir.nodes import Assign, Loop, Program
-from repro.ir.visit import rename_loops
+from repro.ir.visit import fresh_name, loop_index_names, rename_loops
 from repro.model.loopcost import CostModel
 from repro.obs import get_obs
 
@@ -69,7 +69,12 @@ def compatible_depth(l1: Loop, l2: Loop) -> int:
 
 
 def fuse_pair(l1: Loop, l2: Loop, depth: int) -> Loop:
-    """Fuse two nests at ``depth`` compatible levels (headers from l1)."""
+    """Fuse two nests at ``depth`` compatible levels (headers from l1).
+
+    l2's fused headers take l1's index names. A loop of l2 below the fused
+    levels whose index is one of those names is first given a fresh name,
+    so the renamed references are not captured by it.
+    """
     mapping: dict[str, str] = {}
     a, b = l1, l2
     for _ in range(depth):
@@ -78,7 +83,19 @@ def fuse_pair(l1: Loop, l2: Loop, depth: int) -> Loop:
             if b.body and isinstance(b.body[0], Loop) and len(b.body) == 1:
                 a, b = a.body[0], b.body[0]
 
-    renamed = rename_loops(l2, mapping)
+    targets = set(mapping.values())
+    used = set(loop_index_names(l1) | loop_index_names(l2))
+
+    def uncapture(node: "Loop | Assign", level: int) -> "Loop | Assign":
+        if isinstance(node, Assign):
+            return node
+        if level > depth and node.var in targets:
+            fresh = fresh_name(node.var, used)
+            used.add(fresh)
+            node = rename_loops(node, {node.var: fresh})  # type: ignore[assignment]
+        return node.with_body(tuple(uncapture(c, level + 1) for c in node.body))
+
+    renamed = rename_loops(uncapture(l2, 1), mapping)
 
     def merge(x: Loop, y: Loop, levels: int) -> Loop:
         if levels == 1:

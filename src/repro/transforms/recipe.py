@@ -13,9 +13,9 @@ Replay runs no legality test and no cost model: every decision is taken
 from the record. A recipe that encodes an illegal rewrite replays to an
 illegal program, which is what verification must be shown.
 
-Nodes are addressed by *paths*: body indices from the program body down
-to the node, e.g. ``(2,)`` for the third top-level item and ``(2, 0)``
-for the first item in its body.
+Nodes are addressed by *paths* (:mod:`repro.ir.visit`): body indices
+from the program body down to the node, e.g. ``(2,)`` for the third
+top-level item and ``(2, 0)`` for the first item in its body.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.ir.nodes import Assign, Loop, Program
+from repro.ir.nodes import Program
+from repro.ir.visit import Path, loops_above, node_at, replace_at
 
 __all__ = [
     "Recipe",
@@ -33,53 +34,6 @@ __all__ = [
     "Distribute",
     "ScalarReplace",
 ]
-
-Path = tuple[int, ...]
-
-
-def _node_at(program: Program, path: Path) -> "Loop | Assign":
-    node = program.body[path[0]]
-    for index in path[1:]:
-        node = node.body[index]  # type: ignore[union-attr]
-    return node
-
-
-def _loops_above(program: Program, path: Path) -> tuple[Loop, ...]:
-    """The loops enclosing the node at ``path``, outermost first."""
-    return tuple(
-        _node_at(program, path[:depth]) for depth in range(1, len(path))  # type: ignore[misc]
-    )
-
-
-def _splice(body: tuple, index: int, nodes: tuple) -> tuple:
-    return body[:index] + tuple(nodes) + body[index + 1 :]
-
-
-def _replace_at(program: Program, path: Path, nodes: tuple) -> Program:
-    """``program`` with the node at ``path`` replaced by ``nodes``."""
-
-    def rebuild(body: tuple, rest: Path) -> tuple:
-        index = rest[0]
-        if len(rest) == 1:
-            return _splice(body, index, nodes)
-        loop = body[index]
-        return _splice(body, index, (loop.with_body(rebuild(loop.body, rest[1:])),))
-
-    return program.with_body(rebuild(tuple(program.body), path))
-
-
-def _body_at(program: Program, path: Path) -> tuple:
-    if not path:
-        return tuple(program.body)
-    return tuple(_node_at(program, path).body)  # type: ignore[union-attr]
-
-
-def _with_body_at(program: Program, path: Path, body: tuple) -> Program:
-    if not path:
-        return program.with_body(body)
-    loop: Loop = _node_at(program, path)  # type: ignore[assignment]
-    return _replace_at(program, path, (loop.with_body(body),))
-
 
 def _fit_tile(size: int, trip: int) -> int:
     """A tile size for a loop of ``trip`` iterations, derived from ``size``.
@@ -105,14 +59,14 @@ class Permute:
     def apply(self, program: Program) -> Program:
         from repro.transforms.permute import apply_order
 
-        nest = _node_at(program, self.path)
+        nest = node_at(program.body, self.path)
         rebuilt = apply_order(
             nest.perfect_nest_loops(),  # type: ignore[union-attr]
             self.order,
             set(self.reversed),
-            _loops_above(program, self.path),
+            loops_above(program.body, self.path),
         )
-        return _replace_at(program, self.path, (rebuilt,))
+        return program.with_body(replace_at(program.body, self.path, (rebuilt,)))
 
 
 @dataclass(frozen=True)
@@ -125,7 +79,7 @@ class Tile:
     def apply(self, program: Program) -> Program:
         from repro.transforms.tiling import tile_nest
 
-        nest = _node_at(program, self.path)
+        nest = node_at(program.body, self.path)
         chain = {loop.var: loop for loop in nest.perfect_nest_loops()}  # type: ignore[union-attr]
         sizes = {}
         for var, size in self.tiles:
@@ -135,7 +89,7 @@ class Tile:
                 size = _fit_tile(size, trip)
             sizes[var] = size
         tiled = tile_nest(nest, sizes, check=False).loop  # type: ignore[arg-type]
-        return _replace_at(program, self.path, (tiled,))
+        return program.with_body(replace_at(program.body, self.path, (tiled,)))
 
 
 @dataclass(frozen=True)
@@ -152,8 +106,11 @@ class Fuse:
     def apply(self, program: Program) -> Program:
         from repro.transforms.fusion import replay_fusion
 
-        body = replay_fusion(_body_at(program, self.path), self.merges)
-        return _with_body_at(program, self.path, body)
+        if not self.path:
+            return program.with_body(replay_fusion(program.body, self.merges))
+        loop = node_at(program.body, self.path)
+        fused = loop.with_body(replay_fusion(loop.body, self.merges))  # type: ignore[union-attr]
+        return program.with_body(replace_at(program.body, self.path, (fused,)))
 
 
 @dataclass(frozen=True)
@@ -177,14 +134,14 @@ class Distribute:
         from repro.transforms.distribution import replay_distribution
 
         nodes = replay_distribution(
-            _node_at(program, self.path),  # type: ignore[arg-type]
+            node_at(program.body, self.path),  # type: ignore[arg-type]
             self.target,
             self.partitions,
             self.names,
             self.orders,
-            _loops_above(program, self.path),
+            loops_above(program.body, self.path),
         )
-        return _replace_at(program, self.path, nodes)
+        return program.with_body(replace_at(program.body, self.path, nodes))
 
 
 @dataclass(frozen=True)

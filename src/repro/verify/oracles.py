@@ -29,13 +29,14 @@ from dataclasses import dataclass
 from repro.errors import ORACLE_FAILURES, TransformError
 from repro.exec.interp import Interpreter
 from repro.ir.nodes import Loop, Program
-from repro.ir.visit import iter_loops
+from repro.ir.visit import iter_loops, replace_at
 from repro.model.loopcost import CostModel
 from repro.transforms import legality
 from repro.transforms.compound import compound
 from repro.transforms.distribution import distribute_nest
-from repro.transforms.fusion import compatible_depth, fuse_all, fuse_pair, fusion_preventing
+from repro.transforms.fusion import compatible_depth, fuse_all, fusion_preventing
 from repro.transforms.permute import apply_order
+from repro.transforms.recipe import Fuse
 from repro.transforms.scalar_replace import scalar_replace_program
 from repro.transforms.tiling import tile_nest
 from repro.transforms.unroll_jam import unroll_and_jam
@@ -158,12 +159,6 @@ def check_trial(base: dict[str, bytes], trial: Trial) -> TrialResult:
 # ----------------------------------------------------------------------
 # Trial enumeration
 # ----------------------------------------------------------------------
-def _replace_top(program: Program, index: int, nodes) -> Program:
-    body = list(program.body)
-    body[index : index + 1] = list(nodes)
-    return program.with_body(body)
-
-
 def transform_trials(
     program: Program, model: CostModel | None = None
 ) -> list[Trial]:
@@ -212,7 +207,7 @@ def _permutation_trials(program: Program) -> list[Trial]:
                     ".".join(order),
                     accepted=legal,
                     reason="order-legal" if legal else "order-illegal",
-                    program=_replace_top(program, index, [nest]),
+                    program=program.with_body(replace_at(program.body, (index,), [nest])),
                 )
             )
     return trials
@@ -238,7 +233,7 @@ def _reversal_trials(program: Program) -> list[Trial]:
                     var,
                     accepted=legal,
                     reason="reversal-legal" if legal else "reversal-illegal",
-                    program=_replace_top(program, index, [nest]),
+                    program=program.with_body(replace_at(program.body, (index,), [nest])),
                 )
             )
     return trials
@@ -255,16 +250,13 @@ def _fusion_trials(program: Program) -> list[Trial]:
         if depth == 0:
             continue
         preventing = fusion_preventing(a, b, depth)
-        fused = fuse_pair(a, b, depth)
-        new_body = list(body)
-        new_body[i : i + 2] = [fused]
         trials.append(
             Trial(
                 "fusion",
                 f"{a.var}+{b.var}@{depth}",
                 accepted=not preventing,
                 reason="fusion-preventing" if preventing else "fusion-safe",
-                program=program.with_body(new_body),
+                program=Fuse((), ((i, i + 1, depth),)).apply(program),
             )
         )
     return trials
@@ -284,7 +276,7 @@ def _fuse_all_trials(program: Program) -> list[Trial]:
                 item.var,
                 accepted=True,
                 reason="fuse-all-legal",
-                program=_replace_top(program, index, [fused]),
+                program=program.with_body(replace_at(program.body, (index,), [fused])),
             )
         )
     return trials
@@ -305,7 +297,7 @@ def _distribution_trials(program: Program, model: CostModel) -> list[Trial]:
                 f"{item.var}@{outcome.level}",
                 accepted=True,
                 reason="scc-partition",
-                program=_replace_top(program, index, outcome.nodes),
+                program=program.with_body(replace_at(program.body, (index,), outcome.nodes)),
             )
         )
     return trials
@@ -346,7 +338,7 @@ def _tiling_trials(program: Program) -> list[Trial]:
                 ",".join(f"{v}/{t}" for v, t in tiles.items()),
                 accepted=accepted,
                 reason=reason,
-                program=_replace_top(program, index, [result.loop]),
+                program=program.with_body(replace_at(program.body, (index,), [result.loop])),
             )
         )
     return trials
@@ -378,7 +370,9 @@ def _unroll_jam_trials(program: Program) -> list[Trial]:
                 accepted=accepted,
                 reason=reason,
                 # Jammed copies are new statements: renumber program-wide.
-                program=_replace_top(program, index, [jammed]).renumbered(),
+                program=program.with_body(
+                    replace_at(program.body, (index,), [jammed])
+                ).renumbered(),
             )
         )
     return trials

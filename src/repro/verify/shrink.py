@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 from repro.ir.affine import Affine
 from repro.ir.expr import Bin, Expr, Ref
 from repro.ir.nodes import ArrayDecl, Assign, Loop, Program
-from repro.ir.visit import substitute_expr
+from repro.ir.visit import replace_at, substitute_expr
 from repro.verify.depforce import enumerate_accesses
 
 __all__ = ["shrink_program", "program_in_bounds"]
@@ -77,19 +77,23 @@ def shrink_program(
 def _candidates(program: Program) -> Iterator[Program]:
     """Candidate simplifications, most aggressive first."""
     body = program.body
+
+    def edited(path: tuple[int, ...], nodes) -> Program:
+        return program.with_body(replace_at(body, path, nodes))
+
     # 1. Drop a whole top-level item.
     if len(body) > 1:
         for i in range(len(body)):
-            yield program.with_body(body[:i] + body[i + 1 :])
+            yield edited((i,), [])
     # 2. Remove one loop level (substitute its variable with the lower bound).
     for path, node in _paths(program):
         if isinstance(node, Loop):
             hoisted = [_bind_var(child, node.var, node.lb) for child in node.body]
-            yield _replace_at(program, path, hoisted)
+            yield edited(path, hoisted)
     # 3. Drop one statement.
     for path, node in _paths(program):
         if isinstance(node, Assign):
-            yield _replace_at(program, path, [])
+            yield edited(path, [])
     # 4. Shrink a loop's span.
     for path, node in _paths(program):
         if not isinstance(node, Loop):
@@ -101,20 +105,18 @@ def _candidates(program: Program) -> Iterator[Program]:
             if not 1 <= new_trip < trip:
                 continue
             new_ub = node.lb + node.step * (new_trip - 1)
-            yield _replace_at(
-                program, path, [Loop(node.var, node.lb, new_ub, node.step, node.body)]
-            )
+            yield edited(path, [Loop(node.var, node.lb, new_ub, node.step, node.body)])
     # 5. Truncate a statement's right-hand side.
     for path, node in _paths(program):
         if isinstance(node, Assign) and isinstance(node.rhs, Bin):
             for side in (node.rhs.left, node.rhs.right):
-                yield _replace_at(program, path, [Assign(node.lhs, side, node.sid)])
+                yield edited(path, [Assign(node.lhs, side, node.sid)])
     # 6. Simplify a subscript: drop a term or zero the offset.
     for path, node in _paths(program):
         if not isinstance(node, Assign):
             continue
         for simplified in _simplify_refs(node):
-            yield _replace_at(program, path, [simplified])
+            yield edited(path, [simplified])
 
 
 def _paths(program: Program) -> Iterator[tuple[tuple[int, ...], "Loop | Assign"]]:
@@ -126,21 +128,6 @@ def _paths(program: Program) -> Iterator[tuple[tuple[int, ...], "Loop | Assign"]
                 yield from walk(node.body, path)
 
     yield from walk(program.body, ())
-
-
-def _replace_at(program: Program, path: tuple[int, ...], replacement) -> Program:
-    def rebuild(nodes, depth):
-        out = []
-        for i, node in enumerate(nodes):
-            if i != path[depth]:
-                out.append(node)
-            elif depth == len(path) - 1:
-                out.extend(replacement)
-            else:
-                out.append(node.with_body(rebuild(node.body, depth + 1)))
-        return out
-
-    return program.with_body(rebuild(program.body, 0))
 
 
 def _bind_var(node, var: str, value: Affine):

@@ -249,3 +249,48 @@ class TestCompound:
         outcome = compound(prog, CostModel(cls=4))
         counts = outcome.counts
         assert sum(counts.values()) == len(outcome.nests) == 1
+
+
+class TestReplayRecord:
+    def test_compound_and_lint_outcomes_replay_to_their_nodes(self, monkeypatch):
+        # Every distribution compound and LOC002 make over the whole
+        # registry at mini, repeated from its own record, rebuilds exactly
+        # the nodes the search produced.
+        import importlib
+
+        from repro.lint import lint_program
+        from repro.suite import get_set
+        from repro.transforms.distribution import replay_distribution
+
+        distribution = importlib.import_module("repro.transforms.distribution")
+        real = distribution.distribute_nest
+        seen = []
+
+        def recording(nest_root, model=None, outer_loops=(), used_names=None):
+            outcome = real(nest_root, model, outer_loops, used_names)
+            if outcome is not None:
+                seen.append((nest_root, outer_loops, outcome))
+            return outcome
+
+        monkeypatch.setattr(distribution, "distribute_nest", recording)
+        monkeypatch.setattr(
+            importlib.import_module("repro.transforms.compound"),
+            "distribute_nest",
+            recording,
+        )
+        for entry in get_set("all").entries():
+            program = entry.program(instance="mini")
+            compound(program, CostModel(cls=16))
+            lint_program(program, checks=("LOC002",), verify=False)
+        # Six at this size, two of them below the nest root.
+        assert any(outcome.target_path for _, _, outcome in seen)
+        for nest, outer, outcome in seen:
+            replayed = replay_distribution(
+                nest,
+                outcome.target_path,
+                outcome.partitions,
+                outcome.names,
+                outcome.orders,
+                outer,
+            )
+            assert replayed == outcome.nodes

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.frontend import parse_program
-from repro.ir import Loop, iter_loops, iter_statements, pretty
+from repro.ir import Loop, ProgramBuilder, iter_loops
+from repro.ir.visit import rename_loops
 from repro.model import CostModel
 from repro.transforms import (
     compatible_depth,
@@ -12,6 +13,7 @@ from repro.transforms import (
     fuse_pair,
     fusion_preventing,
 )
+from repro.verify.oracles import run_state
 
 ADI_DISTRIBUTED = """
 PROGRAM adi
@@ -119,6 +121,30 @@ class TestFusePair:
         assert fused.is_perfect_nest()
         assert [l.var for l in iter_loops(fused)] == ["I", "J"]
         assert len(fused.statements) == 2
+
+    def test_inner_loop_does_not_capture_renamed_index(self):
+        # J of the second nest becomes I; its inner DO I must not capture
+        # the renamed references, which would read A(I+1) up to A(8).
+        # The builder and the parser refuse a reused index, so the inner
+        # loop is renamed to I after the build.
+        b = ProgramBuilder("p")
+        I, J, K = b.indices("I", "J", "K")
+        A, B, C = b.array("A", (3,)), b.array("B", (7,)), b.array("C", (2,))
+        with b.loop(I, 1, 2):
+            b.assign(C[I], B[I])
+        with b.loop(J, 1, 2):
+            with b.loop(K, 2, 7):
+                b.assign(A[J + 1], A[J + 1] + B[K])
+        prog = b.build()
+        first, second = prog.top_loops
+        prog = prog.with_body((first, rename_loops(second, {"K": "I"})))
+        first, second = prog.top_loops
+        assert compatible_depth(first, second) == 1
+        assert not fusion_preventing(first, second, 1)
+        fused = fuse_pair(first, second, 1)
+        assert [l.var for l in iter_loops(fused)] == ["I", "I_2"]
+        assert str(fused.statements[1].lhs) == "A(I+1)"
+        assert run_state(prog.with_body((fused,))) == run_state(prog)
 
 
 class TestFusionPreventing:

@@ -21,6 +21,7 @@ from repro.lint import (
 from repro.lint.engine import _verify_and_score
 from repro.lint.registry import LintContext
 from repro.suite import kernels
+from repro.transforms.recipe import Recipe
 
 
 def source(body: str, arrays: str = "A(N,N), B(N,N), C(N,N)") -> str:
@@ -140,7 +141,7 @@ class TestEngine:
         ctx = LintContext(program, line=64, capacity=16)
         diag = Diagnostic(
             "LOC002", "loop-order", WARNING, "synthetic",
-            fixit=FixIt("permute", "bogus rewrite", wrong),
+            fixit=FixIt("permute", "bogus rewrite", wrong, Recipe()),
         )
         out = _verify_and_score(ctx, diag, 0.5, 100)
         assert out.severity == ERROR
@@ -156,7 +157,7 @@ class TestEngine:
         ctx = LintContext(good, line=64, capacity=16)
         diag = Diagnostic(
             "LOC002", "loop-order", WARNING, "synthetic",
-            fixit=FixIt("permute", "pessimizing rewrite", bad),
+            fixit=FixIt("permute", "pessimizing rewrite", bad, Recipe()),
         )
         from repro.lint.verifyfix import predicted_misses
 

@@ -3,6 +3,7 @@
 from repro.frontend import parse_program
 from repro.lint import Diagnostic, FixIt, LintResult
 from repro.suite import kernels
+from repro.transforms.recipe import Recipe
 from repro.verify.lintcheck import check_lint
 from repro.verify.oracles import Mismatch
 from repro.verify.runner import run_fuzz
@@ -26,7 +27,7 @@ class TestCheckLint:
 
         def dishonest_lint(program, **kwargs):
             fixit = FixIt(
-                "permute", "bogus", wrong, verified=True, verification="oracle"
+                "permute", "bogus", wrong, Recipe(), verified=True, verification="oracle"
             )
             diag = Diagnostic(
                 "LOC002", "loop-order", "warning", "synthetic", fixit=fixit
@@ -53,7 +54,7 @@ class TestCheckLint:
         original = _program("DO I = 1, N\n  A(I) = B(I)\nENDDO")
 
         def sloppy_lint(program, **kwargs):
-            fixit = FixIt("permute", "unverified", program)
+            fixit = FixIt("permute", "unverified", program, Recipe())
             diag = Diagnostic(
                 "LOC002", "loop-order", "warning", "synthetic", fixit=fixit
             )

@@ -11,6 +11,10 @@ from unittest import mock
 
 import pytest
 
+# The mutation smoke test patches legality.order_is_legal; a module that
+# imports it by name while the patch is live keeps the patched function.
+# Import the autotune search space here so it binds the real one.
+import repro.autotune.space  # noqa: F401
 from repro.errors import TransformError
 from repro.frontend import parse_program
 from repro.ir import pretty_program
@@ -205,6 +209,12 @@ class TestReplay:
             "check_hierarchy_pair",
         ]
         assert streams == fuzzed
+
+    def test_fusion_capture_case_is_clean(self):
+        # Seed 3 case 162: compound fuses a nest permuted to DO J / DO I
+        # with a DO I nest at depth 1 (J renamed to I over an inner DO I).
+        with redirect_stdout(io.StringIO()):
+            assert replay_case(seed=3, case=162)
 
     def test_replay_fails_the_case_the_fuzzer_reported(self):
         with mock.patch(
