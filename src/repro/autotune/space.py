@@ -41,7 +41,7 @@ from repro.model.loopcost import CostModel
 from repro.model.oracle import OracleCost
 from repro.transforms.distribution import distribute_nest
 from repro.transforms.fusion import fuse_adjacent
-from repro.transforms.legality import constraining_vectors, order_is_legal
+from repro.transforms import legality
 from repro.transforms.permute import apply_order
 from repro.transforms.recipe import Distribute, Fuse, Permute, Recipe, Tile
 from repro.transforms.tiling import choose_tile_loops, tile_nest
@@ -152,7 +152,7 @@ def legal_orders(
     if len(chain) < 2:
         return []
     original = tuple(loop.var for loop in chain)
-    vectors = constraining_vectors(nest)
+    vectors = legality.constraining_vectors(nest)
     index_of = {var: i for i, var in enumerate(original)}
     if len(chain) <= MAX_ENUM_DEPTH:
         orders = itertools.permutations(original)
@@ -165,7 +165,8 @@ def legal_orders(
         order
         for order in orders
         if order == original
-        or order_is_legal(vectors, [index_of[v] for v in order])
+        # Looked up per call, so a patched legality check applies.
+        or legality.order_is_legal(vectors, [index_of[v] for v in order])
     ]
     costs = model.loop_costs(nest)
     legal.sort(

@@ -20,6 +20,6 @@ SPARC2 = CacheConfig("sparc2", size=64 * 1024, assoc=1, line=32)
 ALL_CONFIGS = (CACHE1, CACHE2, SPARC2)
 
 
-def line_elements(config: CacheConfig, elem_size: int = 8) -> int:
-    """Cache line size in array elements (the cost model's ``cls``)."""
-    return max(config.line // elem_size, 1)
+def line_elements(config: CacheConfig) -> int:
+    """Cache line size in 8-byte array elements (the cost model's ``cls``)."""
+    return max(config.line // 8, 1)

@@ -15,7 +15,7 @@ identical statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,15 +36,9 @@ __all__ = [
 TLB_LEVEL_NAME = "<tlb>"
 
 
-def tlb_config(
-    entries: int = 64,
-    page: int = 4096,
-    assoc: int | None = None,
-    name: str = TLB_LEVEL_NAME,
-) -> CacheConfig:
+def tlb_config(entries: int = 64, page: int = 4096) -> CacheConfig:
     """A TLB as a page-granular fully-associative cache config."""
-    assoc = assoc or entries
-    return CacheConfig(name, size=entries * page, assoc=assoc, line=page)
+    return CacheConfig(TLB_LEVEL_NAME, size=entries * page, assoc=entries, line=page)
 
 
 DEFAULT_TLB = tlb_config()

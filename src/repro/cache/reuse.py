@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -277,23 +276,18 @@ class ReuseDistanceAnalyzer:
             ref.accesses += count
 
 
-def per_ref_profile(
-    program: Program,
-    line: int = 128,
-    params: Mapping[str, int] | None = None,
-) -> ReuseDistanceAnalyzer:
+def per_ref_profile(program: Program, line: int = 128) -> ReuseDistanceAnalyzer:
     """Run the trace through the analyzer with per-slot profiles."""
     from repro.exec.blocktrace import run_trace
 
     analyzer = ReuseDistanceAnalyzer(line, program)
-    run_trace(program, analyzer.on_block, params)
+    run_trace(program, analyzer.on_block)
     return analyzer
 
 
 def reuse_profile(
     program: Program,
     line: int = 128,
-    params: Mapping[str, int] | None = None,
     max_accesses: int | None = None,
 ) -> ReuseProfile:
     """Reuse-distance profile of a program's trace.
@@ -303,5 +297,5 @@ def reuse_profile(
     from repro.exec.blocktrace import run_trace
 
     analyzer = ReuseDistanceAnalyzer(line, max_accesses=max_accesses)
-    run_trace(program, analyzer.on_block, params)
+    run_trace(program, analyzer.on_block)
     return analyzer.profile

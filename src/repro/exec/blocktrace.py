@@ -37,7 +37,7 @@ rejects the program. Either way they receive blocks.
 :func:`compile_block_trace` compiles a program once: compiled traces,
 and declines (kept as the message and raised afresh), live in the
 registered :class:`~repro.model.memo.MemoCache` ``exec.blocktrace.cache``
-keyed by ``(program, sorted params, block_size)``. The key is the frozen
+keyed by ``(program, block_size)``. The key is the frozen
 :class:`Program` value itself, not the :mod:`repro.ir.canon` digest: the
 canonical form sorts declarations, whose order sets the arrays' base
 addresses, and renumbers statement ids, which every block carries; and
@@ -81,7 +81,7 @@ DEFAULT_BLOCK_SIZE = 1 << 16
 #: Consumer protocol: one call per coalesced AccessBlock.
 BlockFn = Callable[["AccessBlock"], None]
 
-#: (program, sorted params, block_size) -> CompiledBlockTrace, or the
+#: (program, block_size) -> CompiledBlockTrace, or the
 #: decline message. Perfbench's simulate workload cycles through 61
 #: programs, original and optimized (107 distinct keys), in shuffled
 #: order; an LRU smaller than a pass would never hit, so the cap holds
@@ -200,7 +200,7 @@ class _BlockBuffer:
 
 @dataclass(frozen=True)
 class CompiledBlockTrace:
-    """A compiled batched trace generator for one (program, params) pair.
+    """A compiled batched trace generator for one program.
 
     Frozen because :func:`compile_block_trace` shares one instance
     between every caller that asks for the same trace.
@@ -220,10 +220,9 @@ class CompiledBlockTrace:
 
 def compile_block_trace(
     program: Program,
-    params: Mapping[str, int] | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> CompiledBlockTrace:
-    """Compile ``program`` (with concrete parameters) to a block trace,
+    """Compile ``program`` (at its parameter values) to a block trace,
     memoized in ``exec.blocktrace.cache`` (see the module docstring).
 
     Raises:
@@ -231,12 +230,12 @@ def compile_block_trace(
             affine arithmetic the engine generates. The decline is cached
             like a result.
     """
-    key = (program, tuple(sorted((params or {}).items())), block_size)
+    key = (program, block_size)
     compiled = _TRACES.get(key)
     if compiled is None:
         try:
             with get_obs().span("exec.blocktrace.compile", program=program.name):
-                compiled = _compile_block_trace(program, params, block_size)
+                compiled = _compile_block_trace(program, block_size)
         except BlockTraceError as decline:
             compiled = str(decline)
         _TRACES.put(key, compiled)
@@ -248,7 +247,6 @@ def compile_block_trace(
 def run_trace(
     program: Program,
     on_block: BlockFn,
-    params: Mapping[str, int] | None = None,
     init=None,
     compiled: bool = True,
 ) -> int:
@@ -264,7 +262,7 @@ def run_trace(
     if compiled:
         try:
             # A module global looked up per call, so wrappers apply.
-            trace = compile_block_trace(program, params)
+            trace = compile_block_trace(program)
         except BlockTraceError:
             if obs.enabled:
                 obs.metrics.counter("trace.block.fallback").inc()
@@ -292,7 +290,7 @@ def run_trace(
         if len(events) >= DEFAULT_BLOCK_SIZE:
             flush()
 
-    interp = Interpreter(program, params, on_access=on_access, init=init)
+    interp = Interpreter(program, on_access=on_access, init=init)
     interp.run()
     if events:
         flush()
@@ -300,12 +298,10 @@ def run_trace(
 
 
 def _compile_block_trace(
-    program: Program,
-    params: Mapping[str, int] | None = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
+    program: Program, block_size: int = DEFAULT_BLOCK_SIZE
 ) -> CompiledBlockTrace:
-    env = dict(program.param_env) | dict(params or {})
-    layout = MemoryLayout.for_program(program, env)
+    env = program.param_env
+    layout = MemoryLayout.for_program(program)
     # A quarter block per chain keeps coalesced blocks under 1.25 *
     # block_size entries; a full block per chain raised perfbench
     # simulate's peak RSS by 6 MB and saved no CPU.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -52,11 +52,11 @@ def default_init(name: str, extents: tuple[int, ...]) -> np.ndarray:
 
 
 class Interpreter:
-    """Executes a program over concrete parameter bindings.
+    """Executes a program over its parameter values.
 
     Args:
-        program: the IR program to run.
-        params: overrides for the program's symbolic parameters.
+        program: the IR program to run (``program.with_params(...)``
+            runs it at another size).
         on_access: optional callback receiving every :class:`AccessEvent`.
         init: per-array initializer ``(name, extents) -> ndarray``;
             defaults to :func:`default_init`.
@@ -66,14 +66,13 @@ class Interpreter:
     def __init__(
         self,
         program: Program,
-        params: Mapping[str, int] | None = None,
         on_access: Callable[[AccessEvent], None] | None = None,
         init: Callable[[str, tuple[int, ...]], np.ndarray] | None = None,
         check_values: bool = True,
     ):
         self.program = program
-        self.env = dict(program.param_env) | dict(params or {})
-        self.layout = MemoryLayout.for_program(program, self.env)
+        self.env = program.param_env
+        self.layout = MemoryLayout.for_program(program)
         self.on_access = on_access
         self.check_values = check_values
         init = init or default_init
@@ -216,9 +215,8 @@ class Interpreter:
 
 def run_program(
     program: Program,
-    params: Mapping[str, int] | None = None,
     on_access: Callable[[AccessEvent], None] | None = None,
     init: Callable[[str, tuple[int, ...]], np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Convenience wrapper: build an interpreter and run it."""
-    return Interpreter(program, params, on_access, init).run()
+    return Interpreter(program, on_access, init).run()

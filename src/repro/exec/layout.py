@@ -17,6 +17,9 @@ from repro.ir.nodes import Program
 
 __all__ = ["ArrayLayout", "MemoryLayout"]
 
+#: Address of the first array.
+_BASE = 0x10000
+
 #: Default alignment for array base addresses (a large cache line).
 _BASE_ALIGN = 128
 
@@ -86,15 +89,11 @@ class MemoryLayout:
     arrays: dict[str, ArrayLayout]
 
     @staticmethod
-    def for_program(
-        program: Program,
-        env: Mapping[str, int] | None = None,
-        base: int = 0x10000,
-    ) -> "MemoryLayout":
-        """Lay the program's arrays out consecutively from ``base``."""
-        env = dict(program.param_env) | dict(env or {})
+    def for_program(program: Program) -> "MemoryLayout":
+        """Lay the program's arrays out consecutively from ``_BASE``."""
+        env = program.param_env
         layouts: dict[str, ArrayLayout] = {}
-        cursor = base
+        cursor = _BASE
         for decl in program.arrays:
             extents = decl.extents(env)
             if any(e <= 0 for e in extents):

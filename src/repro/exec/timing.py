@@ -13,7 +13,6 @@ exactly for the configured geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.cache.cache import CacheConfig, CacheStats, SetAssocCache
 from repro.cache.configs import CACHE1
@@ -57,7 +56,6 @@ class PerfResult:
 def simulate(
     program: Program,
     machine: Machine | None = None,
-    params: Mapping[str, int] | None = None,
     init=None,
     compiled: bool = True,
 ) -> PerfResult:
@@ -78,7 +76,7 @@ def simulate(
     with obs.span(
         "exec.simulate", program=program.name, machine=machine.name
     ):
-        operations = run_trace(program, on_block, params, init, compiled)
+        operations = run_trace(program, on_block, init, compiled)
 
     stats = cache.stats
     if obs.enabled:

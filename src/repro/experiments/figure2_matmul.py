@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache import line_elements
 from repro.exec import simulate
 from repro.model import CostModel
 from repro.suite.kernels import MATMUL_ORDERS, matmul

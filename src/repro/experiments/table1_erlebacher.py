@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.exec import Machine, simulate
+from repro.exec import simulate
 from repro.ir.nodes import Loop
 from repro.model import CostModel
 from repro.suite.kernels import erlebacher

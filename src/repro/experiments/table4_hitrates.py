@@ -47,8 +47,8 @@ class Table4Result:
                 return row
         raise KeyError(name)
 
-    def improved_whole(self, config: str, threshold: float = 0.001) -> list[str]:
-        return [r.name for r in self.rows if r.whole_delta(config) > threshold]
+    def improved_whole(self, config: str) -> list[str]:
+        return [r.name for r in self.rows if r.whole_delta(config) > 0.001]
 
 
 def _entry_row(

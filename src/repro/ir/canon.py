@@ -20,10 +20,9 @@ canonical form and :func:`content_digest` its SHA-256 key;
 :func:`canonical_text_digest` gives both for a program already in
 canonical form, so a caller holding that form neither builds it nor
 prints it twice.
-The oracle layer's ``canonical_key`` (exact pretty text, to which its
-caches add the element sizes the text does not print) remains the
-right key for *intra-process* memoization where renames are impossible;
-this module is the stricter cross-request key.
+Intra-process memos key on the frozen :class:`Program` value itself,
+which keeps apart programs this digest merges (declaration order,
+statement ids, element sizes); the digest is the cross-request key.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ All nodes are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 from repro.errors import IRError, NonAffineError

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.errors import IRError
 from repro.ir.affine import Affine, as_affine
@@ -303,10 +303,6 @@ class Program:
         merged = dict(self.params)
         merged.update(params)
         return replace(self, params=tuple(sorted(merged.items())))
-
-    def scaled(self, **params: int) -> "Program":
-        """A copy with some parameters overridden (e.g. ``prog.scaled(N=64)``)."""
-        return self.with_params(params)
 
     def renumbered(self) -> "Program":
         """Assign fresh consecutive sids to every statement.

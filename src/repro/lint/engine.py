@@ -34,6 +34,9 @@ from repro.obs import get_obs
 
 __all__ = ["LintResult", "lint_program", "AppliedFix", "FixOutcome", "apply_fixes"]
 
+#: Most fix-its :func:`apply_fixes` applies to one program.
+_FIX_ROUNDS = 8
+
 
 @dataclass(frozen=True)
 class LintResult:
@@ -224,18 +227,16 @@ class FixOutcome:
 def apply_fixes(
     program: Program,
     *,
-    model: CostModel | None = None,
     checks: tuple[str, ...] | None = None,
     line: int = 128,
     capacity: int = 512,
-    max_rounds: int = 8,
 ) -> FixOutcome:
     """Repeatedly apply the highest-payoff verified fix-it, then re-lint.
 
     Every applied fix-it has passed the oracles and never increases the
     predicted miss count, so the final program's analytic misses (and its
     miss ratio per original access) are <= the original's. Convergence is
-    guaranteed by ``max_rounds`` plus a seen-program guard against
+    guaranteed by :data:`_FIX_ROUNDS` plus a seen-program guard against
     zero-payoff cycles.
     """
     obs = get_obs()
@@ -243,9 +244,9 @@ def apply_fixes(
     applied: list[AppliedFix] = []
     seen = {pretty_program(program)}
     result = initial = lint_program(
-        current, model=model, checks=checks, verify=True, line=line, capacity=capacity
+        current, checks=checks, verify=True, line=line, capacity=capacity
     )
-    for _round in range(max_rounds):
+    for _round in range(_FIX_ROUNDS):
         candidates = result.fixable()
         if not candidates:
             break
@@ -279,7 +280,6 @@ def apply_fixes(
             )
         result = lint_program(
             current,
-            model=model,
             checks=checks,
             verify=True,
             line=line,

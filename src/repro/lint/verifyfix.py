@@ -29,8 +29,8 @@ does not reproduce it, is checked as itself with only its parameters
 shrunk, as constant bounds cannot be shrunk without knowing the rewrite.
 
 The original's validation and interpreted state are the same for every
-candidate of one lint or autotune run; they are memoized per canonical
-digest in a registered :class:`~repro.model.memo.MemoCache`.
+candidate of one lint or autotune run; they are memoized per program
+in a registered :class:`~repro.model.memo.MemoCache`.
 
 Scoring uses the analytic predictor at full problem size. The engine's
 metric is **predicted misses per original access**: both
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from repro.errors import ORACLE_FAILURES, IRError
 from repro.ir.affine import Affine
-from repro.ir.canon import content_digest
 from repro.ir.nodes import Loop, Program
 from repro.ir.pretty import pretty_program
 from repro.ir.validate import validate_program
@@ -71,14 +70,14 @@ VERIFY_PARAM_CAP = 8
 PAYOFF_EPS = 1e-12
 
 #: The original program's facts, shared by all its candidates: keyed
-#: ``("valid", digest)`` -> bool and ``("state", digest)`` -> (state,).
+#: ``("valid", program)`` -> bool and ``("state", program)`` -> (state,).
 _ORIGINALS = MemoCache("verify.original.cache", cap=64)
 
 
 def capped_params(program: Program) -> Program:
     """``program`` with every parameter clamped to the cap."""
     small = {name: min(value, VERIFY_PARAM_CAP) for name, value in program.params}
-    return program.scaled(**small) if small else program
+    return program.with_params(small) if small else program
 
 
 def _hull(
@@ -145,7 +144,7 @@ def capped(program: Program) -> Program:
 
 
 def _validates(original: Program) -> bool:
-    key = ("valid", content_digest(original))
+    key = ("valid", original)
     hit = _ORIGINALS.get(key)
     if hit is None:
         try:
@@ -161,7 +160,7 @@ def _base_state(program: Program) -> dict[str, bytes] | None:
     """Interpreted final state of a shrunk original (None: it does not run)."""
     from repro.verify.oracles import run_state
 
-    key = ("state", content_digest(program))
+    key = ("state", program)
     hit = _ORIGINALS.get(key)
     if hit is None:
         try:

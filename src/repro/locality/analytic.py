@@ -112,9 +112,7 @@ class LocalityPrediction:
             return 0.0
         return self.misses_for_capacity(lines) / self.accesses
 
-    def hit_rate_set_assoc(
-        self, sets: int, assoc: int, include_cold: bool = False
-    ) -> float:
+    def hit_rate_set_assoc(self, sets: int, assoc: int) -> float:
         """Predicted hit rate of a ``sets x assoc`` LRU cache.
 
         Uses the classic conflict model: an access at stack distance ``d``
@@ -125,7 +123,7 @@ class LocalityPrediction:
         hits = 0.0
         for term in self.terms:
             hits += term.count * _hit_probability(term.distance, sets, assoc)
-        denom = self.accesses if include_cold else self.accesses - self.cold
+        denom = self.accesses - self.cold
         if denom <= 0:
             return 0.0
         return min(hits / denom, 1.0)
@@ -1002,12 +1000,10 @@ def _exact_terms(
 def predict_locality(
     program: Program,
     line: int = 128,
-    params: Mapping[str, int] | None = None,
 ) -> LocalityPrediction:
     """Predict the reuse-distance histogram of ``program`` analytically.
 
-    ``line`` is the cache-line size in bytes (power of two); ``params``
-    overrides the program's default parameter values. The returned
+    ``line`` is the cache-line size in bytes (power of two). The returned
     prediction is flagged ``exact`` when the program falls in the class
     where the histogram is provably exact (see :func:`_exact_terms`);
     otherwise distances are model estimates and only the total mass is
@@ -1016,9 +1012,9 @@ def predict_locality(
     if line & (line - 1):
         raise ValueError("line size must be a power of two")
     obs = get_obs()
-    env = dict(program.param_env) | dict(params or {})
+    env = program.param_env
     with obs.span("locality.predict", program=program.name, line=line):
-        layout = MemoryLayout.for_program(program, env)
+        layout = MemoryLayout.for_program(program)
         model = _NestModel(program, layout, env, line)
         exact = _exact_terms(model)
         if exact is not None:

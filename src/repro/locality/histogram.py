@@ -16,8 +16,6 @@ same convention as :class:`repro.dependence.pairs.RefSite`.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.cache.reuse import (
     COLD,
     LRUStack,
@@ -63,7 +61,6 @@ class PerRefReuseAnalyzer:
 def oracle_profile(
     program: Program,
     line: int = 128,
-    params: Mapping[str, int] | None = None,
     init=None,
 ) -> PerRefReuseAnalyzer:
     """Run the interpreter (with ``init``) through the oracle analyzer.
@@ -71,7 +68,5 @@ def oracle_profile(
     Addresses do not depend on values, so non-finite values are allowed.
     """
     analyzer = PerRefReuseAnalyzer(program, line=line)
-    Interpreter(
-        program, params, on_access=analyzer, init=init, check_values=False
-    ).run()
+    Interpreter(program, on_access=analyzer, init=init, check_values=False).run()
     return analyzer

@@ -14,12 +14,12 @@ Desired loop orders are not an oracle question: planners ask
 :meth:`repro.model.CostModel.memory_order` (the paper's LoopCost
 ranking) directly.
 
-Both implementations memoize on the *canonicalized* program — the
-round-trippable pretty-printed text, which captures parameters, array
-declarations, and loop structure, plus the element sizes it does not
-print — through the shared
-:class:`repro.model.memo.MemoCache` layer, so lint, autotune, and ad-hoc
-scoring reuse each other's evaluations within a process.
+Both implementations memoize on the frozen :class:`Program` value and
+the line size through the shared :class:`repro.model.memo.MemoCache`
+layer, so lint, autotune, and ad-hoc scoring reuse each other's
+evaluations within a process. The value, not a printed form, is the
+key: statement ids and element sizes do not print, yet every
+prediction's ``ReuseTerm.sid`` and every byte address depend on them.
 """
 
 from __future__ import annotations
@@ -47,18 +47,10 @@ def canonical_key(program: Program) -> str:
     """Content key of a program: its round-trippable pretty text.
 
     Parameters, declarations and loop structure all print, but element
-    sizes do not, and they set every byte address: a 4-byte and an
-    8-byte program share this key yet miss differently. The oracle
-    caches therefore key on :func:`_cache_key`, which adds them.
+    sizes and statement ids do not, so programs that differ in them
+    share this key; the oracle caches key on the program itself.
     """
     return pretty_program(program)
-
-
-def _cache_key(program: Program, line: int) -> tuple:
-    """Oracle cache key: the canonical key, each declaration's element
-    size (in declaration order) and the line size."""
-    sizes = tuple(decl.elem_size for decl in program.arrays)
-    return canonical_key(program), sizes, line
 
 
 @dataclass(frozen=True)
@@ -77,12 +69,12 @@ class OracleCost:
         return self.misses < other.misses - eps
 
 
-#: Shared across AnalyticOracle instances: _cache_key ->
+#: Shared across AnalyticOracle instances: (program, line) ->
 #: LocalityPrediction. Predictions are capacity-agnostic, so every
 #: capacity query reuses one entry.
 _PREDICTION_CACHE = MemoCache("oracle.analytic.cache", cap=2048)
 
-#: Shared across SimulationOracle instances: _cache_key -> ReuseProfile.
+#: Shared across SimulationOracle instances: (program, line) -> ReuseProfile.
 #: Profiles are large-ish, keep few.
 _PROFILE_CACHE = MemoCache("oracle.sim.cache", cap=64)
 
@@ -99,7 +91,7 @@ class AnalyticOracle:
     capacity: int = 512
 
     def prediction(self, program: Program) -> "LocalityPrediction":
-        key = _cache_key(program, self.line)
+        key = (program, self.line)
         hit = _PREDICTION_CACHE.get(key)
         if hit is not None:
             return hit
@@ -125,7 +117,7 @@ class SimulationOracle:
     capacity: int = 512
 
     def profile(self, program: Program) -> "ReuseProfile":
-        key = _cache_key(program, self.line)
+        key = (program, self.line)
         hit = _PROFILE_CACHE.get(key)
         if hit is not None:
             return hit

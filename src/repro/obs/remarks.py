@@ -11,7 +11,7 @@ suitable for golden tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Remark", "APPLIED", "REJECTED", "ANALYSIS", "MISSED", "KINDS"]
 

@@ -108,7 +108,6 @@ def finest_partitions(
 def distribute_nest(
     nest_root: Loop,
     model: CostModel | None = None,
-    outer_loops: tuple[Loop, ...] = (),
     used_names: set[str] | None = None,
 ) -> DistributeOutcome | None:
     """Try to enable memory order via distribution + permutation.
@@ -119,7 +118,6 @@ def distribute_nest(
     model = model or CostModel()
     if used_names is None:
         used_names = {l.var for l in iter_loops(nest_root)}
-        used_names |= {l.var for l in outer_loops}
 
     obs = get_obs()
     levels = _loops_by_level(nest_root)
@@ -128,7 +126,7 @@ def distribute_nest(
         for level in range(max_level - 1 if max_level > 1 else 1, 0, -1):
             for path, target in levels.get(level, ()):
                 outcome = _try_distribute(
-                    nest_root, path, target, level, model, outer_loops, used_names
+                    nest_root, path, target, level, model, used_names
                 )
                 if outcome is not None:
                     if obs.enabled:
@@ -175,7 +173,6 @@ def _try_distribute(
     target: Loop,
     level: int,
     model: CostModel,
-    outer_loops: tuple[Loop, ...],
     used_names: set[str],
 ) -> DistributeOutcome | None:
     partitions = finest_partitions(nest_root, target, level)
@@ -183,7 +180,7 @@ def _try_distribute(
         return None
 
     path = (0,) + target_path
-    context = outer_loops + loops_above((nest_root,), path)
+    context = loops_above((nest_root,), path)
 
     names: list[str] = []
     taken = set(used_names)

@@ -15,7 +15,7 @@ elimination (see :mod:`repro.transforms.bounds`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import TransformError
 from repro.ir.nodes import Loop
@@ -59,6 +59,38 @@ class PermuteResult:
     originally_in_memory_order: bool
     reversed_loops: tuple[str, ...] = ()
     failure: str | None = None
+
+
+def _rejected(
+    nest_root: Loop,
+    original: tuple[str, ...],
+    desired: tuple[str, ...],
+    failure: str,
+    message: str,
+) -> PermuteResult:
+    """The unchanged nest, with the ``rejected`` remark and counter."""
+    obs = get_obs()
+    if obs.enabled:
+        obs.remark(
+            "permute",
+            "rejected",
+            message,
+            loops=original,
+            reason=failure,
+            desired=desired,
+        )
+        obs.metrics.counter("permute.rejected").inc()
+    return PermuteResult(
+        nest_root,
+        applied=False,
+        order=original,
+        desired=desired,
+        original=original,
+        achieved_memory_order=False,
+        inner_in_memory_position=original[-1] == desired[-1],
+        originally_in_memory_order=False,
+        failure=failure,
+    )
 
 
 def permute_nest(
@@ -107,77 +139,35 @@ def permute_nest(
     else:
         greedy = _greedy_order(vectors, desired_indices, enable_reversal)
         if greedy is None:
-            if obs.enabled:
-                obs.remark(
-                    "permute",
-                    "rejected",
-                    "memory order unachievable: no legal placement",
-                    loops=original,
-                    reason="dependences",
-                    desired=desired,
-                )
-                obs.metrics.counter("permute.rejected").inc()
-            return PermuteResult(
+            return _rejected(
                 nest_root,
-                applied=False,
-                order=original,
-                desired=desired,
-                original=original,
-                achieved_memory_order=False,
-                inner_in_memory_position=original[-1] == desired[-1],
-                originally_in_memory_order=False,
-                failure="dependences",
+                original,
+                desired,
+                "dependences",
+                "memory order unachievable: no legal placement",
             )
         chosen, reversed_positions = greedy
 
     order = tuple(original[i] for i in chosen)
     reversed_vars = tuple(order[p] for p in sorted(reversed_positions))
     if order == original and not reversed_vars:
-        if obs.enabled:
-            obs.remark(
-                "permute",
-                "rejected",
-                "no legal reordering improves on the original order",
-                loops=original,
-                reason="dependences",
-                desired=desired,
-            )
-            obs.metrics.counter("permute.rejected").inc()
-        return PermuteResult(
+        return _rejected(
             nest_root,
-            applied=False,
-            order=original,
-            desired=desired,
-            original=original,
-            achieved_memory_order=False,
-            inner_in_memory_position=original[-1] == desired[-1],
-            originally_in_memory_order=False,
-            failure="dependences",
+            original,
+            desired,
+            "dependences",
+            "no legal reordering improves on the original order",
         )
 
     try:
         rebuilt = apply_order(chain, order, set(reversed_vars), outer_loops)
     except TransformError:
-        if obs.enabled:
-            obs.remark(
-                "permute",
-                "rejected",
-                f"cannot recompute bounds for order {'.'.join(order)}",
-                loops=original,
-                reason="bounds",
-                desired=desired,
-            )
-            obs.metrics.counter("permute.rejected").inc()
-        return PermuteResult(
+        return _rejected(
             nest_root,
-            applied=False,
-            order=original,
-            desired=desired,
-            original=original,
-            achieved_memory_order=False,
-            inner_in_memory_position=original[-1] == desired[-1],
-            originally_in_memory_order=False,
-            failure="bounds",
+            original,
+            desired,
+            "bounds",
+            f"cannot recompute bounds for order {'.'.join(order)}",
         )
 
     if obs.enabled:

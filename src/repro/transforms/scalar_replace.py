@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ir.expr import Bin, Call, Const, Expr, Ref, Sym, Var
+from repro.ir.expr import Bin, Call, Expr, Ref
 from repro.ir.nodes import ArrayDecl, Assign, Loop, Program
 from repro.ir.visit import fresh_name, iter_loops
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.errors import TransformError
 from repro.ir.affine import Affine
 from repro.ir.nodes import Assign, Loop
-from repro.ir.visit import map_statements, substitute_expr
+from repro.ir.visit import substitute_expr
 from repro.transforms.legality import constraining_vectors
 
 __all__ = ["unroll_and_jam", "unroll_and_jam_program"]

@@ -47,13 +47,12 @@ def program_in_bounds(program: Program) -> bool:
 def shrink_program(
     program: Program,
     predicate: Callable[[Program], bool],
-    max_evals: int = _MAX_EVALS,
 ) -> Program:
     """Greedily minimize ``program`` while ``predicate`` stays true."""
     current = program
     evals = 0
     progressed = True
-    while progressed and evals < max_evals:
+    while progressed and evals < _MAX_EVALS:
         progressed = False
         for candidate in _candidates(current):
             candidate = candidate.renumbered()
@@ -66,7 +65,7 @@ def shrink_program(
                 current = candidate
                 progressed = True
                 break
-            if evals >= max_evals:
+            if evals >= _MAX_EVALS:
                 break
     return _tighten_decls(current, predicate)
 

@@ -207,6 +207,27 @@ class TestOracles:
         ]
         assert answers == expected
 
+    def test_analytic_oracle_tells_statement_ids_apart(self):
+        # The pretty text does not print sids either: the oracle once
+        # answered a renumbered program with its twin's prediction,
+        # whose every ReuseTerm.sid belonged to the twin.
+        from dataclasses import replace
+
+        first = parse_program(
+            "PROGRAM t\nPARAMETER N = 16\nREAL A(N), B(N)\n"
+            "DO I = 1, N\n  A(I) = B(I)\n  B(I) = A(I) + 1.0\nENDDO\nEND"
+        )
+        (loop,) = first.body
+        renumbered = [stmt.with_sid(sid) for stmt, sid in zip(loop.body, (7, 9))]
+        second = replace(first, body=(loop.with_body(renumbered),))
+        assert canonical_key(first) == canonical_key(second)
+        oracle = AnalyticOracle(line=32, capacity=16)
+        sids = [
+            {term.sid for term in oracle.prediction(program).terms}
+            for program in (first, second)
+        ]
+        assert sids == [{0, 1}, {7, 9}]
+
 
 # ----------------------------------------------------------------------
 # Search-space enumeration properties
@@ -225,6 +246,22 @@ class TestSpace:
             for order in legal_orders(nest, model):
                 assert sorted(order) == sorted(original)
                 assert order_is_legal(vectors, [index_of[v] for v in order])
+
+    def test_legal_orders_reads_the_legality_module_per_call(self, monkeypatch):
+        # The mutation smoke test patches the module attribute; a name
+        # bound at import would keep the real check.
+        import repro.transforms.legality as legality
+
+        asked = []
+
+        def refuse(vectors, order):
+            asked.append(tuple(order))
+            return False
+
+        monkeypatch.setattr(legality, "order_is_legal", refuse)
+        nest = kernels.matmul(8, "IJK").body[0]
+        assert legal_orders(nest, CostModel(cls=16)) == [("I", "J", "K")]
+        assert len(asked) == 5  # every order but the original
 
     def test_tile_ladder_divides_trips_and_fits(self, tilable):
         model = CostModel(cls=16)

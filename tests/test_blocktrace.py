@@ -52,10 +52,10 @@ def stats_tuple(stats):
     return (stats.accesses, stats.hits, stats.cold_misses, stats.conflict_misses)
 
 
-def block_trace_events(program, params=None):
+def block_trace_events(program):
     """The block trace flattened to ``(address, size, write, sid)``."""
     events = []
-    compile_block_trace(program, params).run(lambda b: events.extend(b.events()))
+    compile_block_trace(program).run(lambda b: events.extend(b.events()))
     return events
 
 
@@ -245,20 +245,19 @@ class TestBlockTraceStream:
 # ----------------------------------------------------------------------
 # Collapsed loop chains: stream and counters equal the interpreter's
 # ----------------------------------------------------------------------
-def assert_matches_interpreter(program, params=None, block_size=None):
+def assert_matches_interpreter(program, block_size=None):
     """Events and (count, ops) of the block trace equal the interpreter's;
     returns the compiled trace so callers can inspect its source."""
     recorded = []
     interp = Interpreter(
         program,
-        params,
         on_access=lambda e: recorded.append((e.address, e.size, e.write, e.sid)),
     )
     interp.run()
     expected = (interp.statements_executed, interp.operations_executed)
-    assert block_trace_events(program, params) == recorded
+    assert block_trace_events(program) == recorded
     kwargs = {} if block_size is None else {"block_size": block_size}
-    trace = compile_block_trace(program, params, **kwargs)
+    trace = compile_block_trace(program, **kwargs)
     events: list = []
     assert trace.run(lambda block: events.extend(block.events())) == expected
     assert events == recorded
@@ -307,7 +306,7 @@ class TestCollapsedChains:
             )
         )
         for n in range(5):
-            trace = assert_matches_interpreter(program, {"N": n})
+            trace = assert_matches_interpreter(program.with_params({"N": n}))
             assert "# collapsed I, J" in trace.source
 
     def test_negative_steps(self):
@@ -484,10 +483,11 @@ class TestTraceMemo:
 
         blocktrace._TRACES.clear()
         with use_obs(Obs()) as obs:
-            first = compile_block_trace(parse_program(MEMO_SOURCE), {"N": 7})
-            second = compile_block_trace(parse_program(MEMO_SOURCE), {"N": 7})
-            compile_block_trace(parse_program(MEMO_SOURCE), {"N": 8})
-            compile_block_trace(parse_program(MEMO_SOURCE), {"N": 7}, block_size=64)
+            program = parse_program(MEMO_SOURCE)
+            first = compile_block_trace(program.with_params({"N": 7}))
+            second = compile_block_trace(parse_program(MEMO_SOURCE).with_params({"N": 7}))
+            compile_block_trace(program.with_params({"N": 8}))
+            compile_block_trace(program.with_params({"N": 7}), block_size=64)
             counters = obs.metrics.snapshot()["counters"]
         assert second is first
         assert counters["exec.blocktrace.cache.hits"] == 1

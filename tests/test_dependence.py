@@ -13,7 +13,6 @@ from repro.dependence import (
     ANTI,
     FLOW,
     INPUT,
-    OUTPUT,
     DepVector,
     analyze_ref_pair,
     region_dependences,

@@ -1,9 +1,7 @@
 """Tests for loop distribution and the Compound driver (Figures 5-7)."""
 
-import pytest
-
 from repro.frontend import parse_program
-from repro.ir import Loop, iter_loops, iter_statements, pretty, validate_program
+from repro.ir import Loop, iter_loops, validate_program
 from repro.model import CostModel
 from repro.transforms import compound, distribute_nest, finest_partitions
 
@@ -266,10 +264,10 @@ class TestReplayRecord:
         real = distribution.distribute_nest
         seen = []
 
-        def recording(nest_root, model=None, outer_loops=(), used_names=None):
-            outcome = real(nest_root, model, outer_loops, used_names)
+        def recording(nest_root, model=None, used_names=None):
+            outcome = real(nest_root, model, used_names)
             if outcome is not None:
-                seen.append((nest_root, outer_loops, outcome))
+                seen.append((nest_root, outcome))
             return outcome
 
         monkeypatch.setattr(distribution, "distribute_nest", recording)
@@ -283,14 +281,13 @@ class TestReplayRecord:
             compound(program, CostModel(cls=16))
             lint_program(program, checks=("LOC002",), verify=False)
         # Six at this size, two of them below the nest root.
-        assert any(outcome.target_path for _, _, outcome in seen)
-        for nest, outer, outcome in seen:
+        assert any(outcome.target_path for _, outcome in seen)
+        for nest, outcome in seen:
             replayed = replay_distribution(
                 nest,
                 outcome.target_path,
                 outcome.partitions,
                 outcome.names,
                 outcome.orders,
-                outer,
             )
             assert replayed == outcome.nodes

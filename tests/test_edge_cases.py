@@ -4,11 +4,10 @@ pipeline (analysis, Compound, simulation, statistics)."""
 import numpy as np
 import pytest
 
-from repro.exec import Interpreter, run_program, simulate
+from repro.exec import run_program, simulate
 from repro.frontend import parse_program
 from repro.model import CostModel
 from repro.stats import collect_program_stats
-from repro.transforms import compound
 
 
 def full_pipeline(source, n_params=None):

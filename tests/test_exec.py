@@ -4,7 +4,7 @@ semantics preservation under the compound transformations."""
 import numpy as np
 import pytest
 
-from repro.cache import CACHE2, CacheConfig
+from repro.cache import CACHE2
 from repro.errors import ExecutionError
 from repro.exec import (
     Interpreter,
@@ -35,7 +35,7 @@ class TestLayout:
         )
 
     def test_column_major_addresses(self):
-        layout = MemoryLayout.for_program(self.prog(), {})
+        layout = MemoryLayout.for_program(self.prog())
         a = layout["A"]
         # Walking the first subscript is contiguous (8-byte elements).
         assert a.address([2, 1]) - a.address([1, 1]) == 8
@@ -43,13 +43,13 @@ class TestLayout:
         assert a.address([1, 2]) - a.address([1, 1]) == 8 * 4
 
     def test_arrays_disjoint(self):
-        layout = MemoryLayout.for_program(self.prog(), {})
+        layout = MemoryLayout.for_program(self.prog())
         a, b = layout["A"], layout["B"]
         a_end = a.base + a.total_bytes
         assert b.base >= a_end
 
     def test_bounds_checked(self):
-        layout = MemoryLayout.for_program(self.prog(), {})
+        layout = MemoryLayout.for_program(self.prog())
         with pytest.raises(ExecutionError):
             layout["A"].address([5, 1])
         with pytest.raises(ExecutionError):
@@ -181,7 +181,7 @@ class TestInterpreter:
             END
             """
         )
-        interp = Interpreter(prog, params={"N": 3})
+        interp = Interpreter(prog.with_params({"N": 3}))
         assert interp.arrays["A"].shape == (3,)
 
 

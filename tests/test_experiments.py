@@ -7,7 +7,6 @@ crossovers are) — not absolute numbers.
 
 import pytest
 
-from repro.cache import CACHE2
 from repro.experiments import (
     figure2_matmul,
     figure3_adi,

@@ -1,7 +1,5 @@
 """Tests for loop fusion: compatibility, legality, profitability, FuseAll."""
 
-import pytest
-
 from repro.frontend import parse_program
 from repro.ir import Loop, ProgramBuilder, iter_loops
 from repro.ir.visit import rename_loops

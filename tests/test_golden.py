@@ -7,7 +7,6 @@ caught immediately (update deliberately if the algorithm is changed).
 
 import textwrap
 
-from repro.frontend import parse_program
 from repro.ir import pretty_program
 from repro.model import CostModel
 from repro.suite import adi, cholesky, matmul

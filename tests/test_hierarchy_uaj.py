@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.cache import CacheConfig, DEFAULT_TLB, Hierarchy, tlb_config
+from repro.cache import CacheConfig, Hierarchy, tlb_config
 from repro.cache.hierarchy import TLB_LEVEL_NAME
 from repro.errors import TransformError
 from repro.exec import compile_block_trace, run_program
 from repro.frontend import parse_program
-from repro.ir import iter_statements
 from repro.transforms import unroll_and_jam, unroll_and_jam_program
 
 L1 = CacheConfig("l1", size=1024, assoc=2, line=32)

@@ -7,7 +7,7 @@ import pytest
 from repro.cache.reuse import reuse_profile
 from repro.frontend import parse_program
 from repro.locality import predict_locality
-from repro.locality.polysum import PolySumError, chain_count
+from repro.locality.polysum import chain_count
 from repro.suite import get_entry
 
 

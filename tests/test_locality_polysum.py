@@ -80,7 +80,7 @@ class TestRegistryAudit:
         for entry in get_set("all").entries():
             program = entry.program(instance=instance)
             env = dict(program.param_env)
-            layout = MemoryLayout.for_program(program, env)
+            layout = MemoryLayout.for_program(program)
             for slot in _collect_slots(program, layout, env):
                 cases = [{}] + [
                     carried_modes(slot, ci) for ci in range(len(slot.chain))

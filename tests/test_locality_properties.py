@@ -19,7 +19,6 @@ import random
 import pytest
 
 from repro.cache.reuse import reuse_profile
-from repro.frontend import parse_program
 from repro.locality import predict_locality
 from repro.seeds import seed_sequence
 from repro.suite import get_entry, matmul

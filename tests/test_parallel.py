@@ -1,7 +1,5 @@
 """Tests for the loop-parallelism analysis and the §5.7 trade-off."""
 
-import pytest
-
 from repro.dependence import carried_levels, is_vectorizable, parallel_loops
 from repro.exec import Machine, simulate
 from repro.cache import CACHE2

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import TransformError
 from repro.frontend import parse_program
-from repro.ir import Affine, Loop, iter_loops, pretty
+from repro.ir import Affine, Loop, iter_loops
 from repro.model import CostModel
 from repro.transforms import permute_nest, permuted_bounds
 from repro.transforms.bounds import loops_coupled

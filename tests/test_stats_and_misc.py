@@ -13,7 +13,6 @@ from repro.errors import (
     TransformError,
 )
 from repro.frontend import parse_program
-from repro.ir import Affine, Assign, Loop, Ref
 from repro.ir.visit import fresh_name, map_statements, rename_loops
 from repro.model import CostModel
 from repro.stats import (

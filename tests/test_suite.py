@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exec import Interpreter, run_program
+from repro.exec import Interpreter
 from repro.model import CostModel
 from repro.stats import collect_program_stats
 from repro.suite import (

@@ -41,8 +41,8 @@ class TestCheckLocality:
         import repro.verify.localitycheck as lc
         from repro.locality import predict_locality as real
 
-        def all_cold(program, line=128, params=None):
-            prediction = real(program, line=line, params=params)
+        def all_cold(program, line=128):
+            prediction = real(program, line=line)
             return type(prediction)(
                 program=prediction.program,
                 line=prediction.line,
@@ -98,8 +98,8 @@ class TestRunnerIntegration:
 
         real = runner.predict_locality
 
-        def all_cold(program, line=128, params=None):
-            prediction = real(program, line=line, params=params)
+        def all_cold(program, line=128):
+            prediction = real(program, line=line)
             return type(prediction)(
                 program=prediction.program,
                 line=prediction.line,

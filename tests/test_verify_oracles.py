@@ -11,10 +11,6 @@ from unittest import mock
 
 import pytest
 
-# The mutation smoke test patches legality.order_is_legal; a module that
-# imports it by name while the patch is live keeps the patched function.
-# Import the autotune search space here so it binds the real one.
-import repro.autotune.space  # noqa: F401
 from repro.errors import TransformError
 from repro.frontend import parse_program
 from repro.ir import pretty_program

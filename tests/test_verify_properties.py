@@ -7,9 +7,6 @@ compound driver is a fixed point (running it on its own output changes
 nothing).
 """
 
-import itertools
-import random
-
 import pytest
 
 from repro.frontend import parse_program

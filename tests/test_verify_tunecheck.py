@@ -2,8 +2,6 @@
 
 from dataclasses import replace
 
-import pytest
-
 from repro.autotune import autotune
 from repro.autotune.space import CHECKED, Candidate, NestPlan
 from repro.frontend import parse_program
